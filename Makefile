@@ -1,6 +1,6 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs `make check`.
 
-.PHONY: check build vet lint test race bench bench-json chaos-smoke ctrlplane-smoke federation-smoke hybrid-smoke ctrlscale-smoke
+.PHONY: check build vet lint test race fuzz-short bench bench-json chaos-smoke ctrlplane-smoke federation-smoke hybrid-smoke ctrlscale-smoke
 
 check: build vet lint test chaos-smoke ctrlplane-smoke federation-smoke hybrid-smoke ctrlscale-smoke
 
@@ -11,13 +11,14 @@ vet:
 	go vet ./...
 
 # meshvet (cmd/meshvet, internal/lint) machine-checks the simulator's
-# invariants — ten analyzers sharing a cross-package fact store: no
+# invariants — eleven analyzers sharing a cross-package fact store: no
 # wall clock or global randomness in sim code, no order-dependent
 # range-over-map, no pooled-value retention, index-owned writes in
 # parallel sweeps, no routing-state mutation outside the control-plane
 # push path, x-mesh-* headers only through the internal/mesh registry,
 # FlowEngine scratch/pool/timer hygiene, metric names as registered
-# constants, and single-owner simnet.Timer discipline.
+# constants, single-owner simnet.Timer discipline, and no slide-forward
+# queues (x.f = x.f[k:] plus append; queues use internal/deque).
 # `go run ./cmd/meshvet -doc` prints each analyzer's documentation;
 # -json/-github emit machine-readable reports, -fix applies the
 # headerreg literal -> constant rewrites.
@@ -36,6 +37,14 @@ race:
 	go test -race -short -timeout 10m ./...
 	go test -race -timeout 10m -run 'Flow|Fluid|Hybrid' ./internal/simnet
 	go test -race -short -timeout 10m -run TestHybridCrossValidation .
+
+# A fixed 10 s fuzzing budget per target, on top of the seed corpora
+# under each package's testdata/fuzz/ (which plain `go test` replays):
+# the ring deque against a plain-slice model, and the span-ID parser
+# against fmt.Sscanf as an oracle.
+fuzz-short:
+	go test ./internal/deque -run '^$$' -fuzz '^FuzzDeque$$' -fuzztime 10s
+	go test ./internal/mesh -run '^$$' -fuzz '^FuzzParseSpanID$$' -fuzztime 10s
 
 bench:
 	go test -bench=. -benchtime=1x -run=^$$ .

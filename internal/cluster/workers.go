@@ -3,6 +3,7 @@ package cluster
 import (
 	"time"
 
+	"meshlayer/internal/deque"
 	"meshlayer/internal/simnet"
 )
 
@@ -15,7 +16,7 @@ type WorkerPool struct {
 	sched    *simnet.Scheduler
 	capacity int // <= 0: unbounded
 	busy     int
-	queue    []queued
+	queue    deque.Deque[queued]
 
 	peakQueue int
 	executed  uint64
@@ -43,9 +44,9 @@ func (w *WorkerPool) Run(serviceTime time.Duration, fn func()) {
 		w.start(serviceTime, fn)
 		return
 	}
-	w.queue = append(w.queue, queued{serviceTime, fn})
-	if len(w.queue) > w.peakQueue {
-		w.peakQueue = len(w.queue)
+	w.queue.PushBack(queued{serviceTime, fn})
+	if w.queue.Len() > w.peakQueue {
+		w.peakQueue = w.queue.Len()
 	}
 }
 
@@ -60,9 +61,8 @@ func (w *WorkerPool) start(serviceTime time.Duration, fn func()) {
 }
 
 func (w *WorkerPool) drain() {
-	for w.busy < w.capacity && len(w.queue) > 0 {
-		q := w.queue[0]
-		w.queue = w.queue[1:]
+	for w.busy < w.capacity && w.queue.Len() > 0 {
+		q := w.queue.PopFront()
 		w.start(q.serviceTime, q.fn)
 	}
 }
@@ -79,7 +79,7 @@ func (w *WorkerPool) Capacity() int {
 }
 
 // QueueLen returns the number of queued (not yet started) executions.
-func (w *WorkerPool) QueueLen() int { return len(w.queue) }
+func (w *WorkerPool) QueueLen() int { return w.queue.Len() }
 
 // PeakQueue returns the high-water mark of the queue.
 func (w *WorkerPool) PeakQueue() int { return w.peakQueue }

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"time"
 
+	"meshlayer/internal/deque"
 	"meshlayer/internal/metrics"
 	"meshlayer/internal/simnet"
 )
@@ -188,8 +189,8 @@ type Server struct {
 	down  bool
 	// pushQ holds subscribers awaiting a transport slot; resyncQ holds
 	// unsynced subscribers awaiting a resync admission slot (FIFO).
-	pushQ     []*subscriber
-	resyncQ   []*subscriber
+	pushQ     deque.Deque[*subscriber]
+	resyncQ   deque.Deque[*subscriber]
 	inflightN int
 	resyncN   int
 	// fullCache shares one state-of-the-world Update per version across
@@ -405,8 +406,8 @@ func (s *Server) Crash() {
 		sub.resyncHeld = false
 		sub.attempts = 0
 	}
-	s.pushQ = nil
-	s.resyncQ = nil
+	s.pushQ.Reset()
+	s.resyncQ.Reset()
 	s.inflightN = 0
 	s.resyncN = 0
 }
@@ -476,13 +477,13 @@ func (s *Server) schedulePush(sub *subscriber) {
 	if !sub.synced && !sub.resyncHeld && s.cfg.MaxConcurrentResyncs > 0 {
 		if s.resyncN >= s.cfg.MaxConcurrentResyncs {
 			sub.resyncWait = true
-			s.resyncQ = append(s.resyncQ, sub)
+			s.resyncQ.PushBack(sub)
 			return
 		}
 		s.grantResync(sub)
 	}
 	sub.queued = true
-	s.pushQ = append(s.pushQ, sub)
+	s.pushQ.PushBack(sub)
 }
 
 // admit drains pushQ into the transport up to MaxInflightPushes.
@@ -490,30 +491,29 @@ func (s *Server) schedulePush(sub *subscriber) {
 // subscription order, preserving the classic fan-out. Capped, the
 // oldest lag goes first (lowest subscription index breaks ties).
 func (s *Server) admit() {
-	for len(s.pushQ) > 0 && (s.cfg.MaxInflightPushes == 0 || s.inflightN < s.cfg.MaxInflightPushes) {
+	for s.pushQ.Len() > 0 && (s.cfg.MaxInflightPushes == 0 || s.inflightN < s.cfg.MaxInflightPushes) {
 		var sub *subscriber
 		if s.cfg.MaxInflightPushes == 0 {
-			sub = s.pushQ[0]
-			s.pushQ = s.pushQ[1:]
+			sub = s.pushQ.PopFront()
 		} else {
 			best := -1
 			var bestLag uint64
-			for i, cand := range s.pushQ {
+			for i := 0; i < s.pushQ.Len(); i++ {
+				cand := *s.pushQ.At(i)
 				if !cand.queued {
 					continue // dropped while queued (unsubscribe, lease revoke)
 				}
 				lag := s.version - cand.version
 				if best == -1 || lag > bestLag ||
-					(lag == bestLag && cand.idx < s.pushQ[best].idx) {
+					(lag == bestLag && cand.idx < (*s.pushQ.At(best)).idx) {
 					best, bestLag = i, lag
 				}
 			}
 			if best == -1 {
-				s.pushQ = s.pushQ[:0]
+				s.pushQ.Reset()
 				return
 			}
-			sub = s.pushQ[best]
-			s.pushQ = append(s.pushQ[:best], s.pushQ[best+1:]...)
+			sub = s.pushQ.Remove(best)
 		}
 		if !sub.queued {
 			continue
@@ -521,8 +521,8 @@ func (s *Server) admit() {
 		sub.queued = false
 		s.pushTo(sub)
 	}
-	if len(s.pushQ) == 0 && s.pushQ != nil {
-		s.pushQ = nil // release the drained backing array
+	if s.pushQ.Len() == 0 {
+		s.pushQ.Reset() // release the drained backing array
 	}
 }
 
@@ -551,7 +551,7 @@ func (s *Server) grantResync(sub *subscriber) {
 		}
 		if !sub.inflight && !sub.retryArmed {
 			sub.resyncWait = true
-			s.resyncQ = append(s.resyncQ, sub)
+			s.resyncQ.PushBack(sub)
 		}
 		s.admitResyncs()
 	})
@@ -572,17 +572,16 @@ func (s *Server) releaseResync(sub *subscriber) {
 // admitResyncs grants freed resync slots to the FIFO queue, then lets
 // the push queue admit any newly eligible work.
 func (s *Server) admitResyncs() {
-	for len(s.resyncQ) > 0 && (s.cfg.MaxConcurrentResyncs == 0 || s.resyncN < s.cfg.MaxConcurrentResyncs) {
-		sub := s.resyncQ[0]
-		s.resyncQ = s.resyncQ[1:]
+	for s.resyncQ.Len() > 0 && (s.cfg.MaxConcurrentResyncs == 0 || s.resyncN < s.cfg.MaxConcurrentResyncs) {
+		sub := s.resyncQ.PopFront()
 		if !sub.resyncWait {
 			continue
 		}
 		sub.resyncWait = false
 		s.schedulePush(sub)
 	}
-	if len(s.resyncQ) == 0 && s.resyncQ != nil {
-		s.resyncQ = nil
+	if s.resyncQ.Len() == 0 {
+		s.resyncQ.Reset()
 	}
 	s.admit()
 }

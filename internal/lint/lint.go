@@ -27,6 +27,8 @@
 //     sites, follow the naming convention, and register as one kind.
 //   - timerown:   a captured simnet.Timer is cancelled somewhere or
 //     handed to exactly one owner.
+//   - slidequeue: no struct field is used as a slide-forward queue
+//     (x.f = x.f[k:] plus append); queues use internal/deque.
 //
 // Since PR 9 the framework also carries cross-package facts (facts.go):
 // analyzers export facts about declarations ("this const is a
@@ -66,7 +68,7 @@ type Analyzer struct {
 // All is the registry of every meshvet analyzer, in reporting order.
 // Directive validation accepts exactly these names (plus the reserved
 // "directive" pseudo-analyzer used for malformed-directive reports).
-var All = []*Analyzer{Walltime, Globalrand, Mapiter, Poolescape, Indexowned, Ctlwrite, Headerreg, Fluidstate, Metricdecl, Timerown}
+var All = []*Analyzer{Walltime, Globalrand, Mapiter, Poolescape, Indexowned, Ctlwrite, Headerreg, Fluidstate, Metricdecl, Timerown, Slidequeue}
 
 // DirectiveAnalyzerName labels diagnostics produced by directive
 // validation itself. It is reserved: //meshvet:allow cannot suppress it.

@@ -57,3 +57,7 @@ func TestMetricdecl(t *testing.T) {
 func TestTimerown(t *testing.T) {
 	linttest.Run(t, "testdata/timerown", lint.Timerown)
 }
+
+func TestSlidequeue(t *testing.T) {
+	linttest.Run(t, "testdata/slidequeue", lint.Slidequeue)
+}

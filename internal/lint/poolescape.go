@@ -17,6 +17,8 @@ import (
 //   - sending it on a channel
 //   - appending it to a slice (a pool's own free list is the one
 //     sanctioned retainer and carries //meshvet:allow poolescape)
+//   - pushing or inserting it into an internal/deque Deque (a qdisc's
+//     packet queue is a sanctioned, annotated retainer)
 //   - capturing it in a closure, which may run after the value is freed
 //
 // This is deliberately flow-insensitive: rather than proving a store
@@ -74,6 +76,14 @@ func runPoolescape(pass *Pass) {
 						"pooled %s sent on a channel escapes its owner and may be read after Release", name)
 				}
 			case *ast.CallExpr:
+				if isDequePush(pass, n) {
+					if name, pooled := pass.pooledType(pass.TypeOf(n.Args[len(n.Args)-1])); pooled {
+						pass.Reportf(n.Pos(),
+							"pooled %s pushed into a deque is retained past this call; only an annotated queue may hold it until dequeue (//meshvet:allow poolescape)",
+							name)
+					}
+					return true
+				}
 				if !isBuiltinAppend(pass, n) {
 					return true
 				}
@@ -123,4 +133,28 @@ func checkPooledCapture(pass *Pass, id *ast.Ident, lits []*ast.FuncLit) {
 
 func isPackageLevel(obj types.Object) bool {
 	return obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
+}
+
+// isDequePush reports whether call stores its last argument into a
+// deque: PushBack, PushFront or Insert on a named type Deque (matched
+// by name, like internal/deque.Deque, so fixtures can mirror it).
+func isDequePush(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	switch sel.Sel.Name {
+	case "PushBack", "PushFront", "Insert":
+	default:
+		return false
+	}
+	t := pass.TypeOf(sel.X)
+	if t == nil {
+		return false
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Deque"
 }

@@ -120,3 +120,28 @@ func callbackCapture(f *fluidflow, after func(func())) {
 func (e *engine) recycleFlow(f *fluidflow) {
 	e.free = append(e.free, f) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 }
+
+// --- deque-backed queues ---
+
+// Deque mirrors internal/deque.Deque; matching is by type name.
+type Deque[T any] struct{ buf []T }
+
+func (d *Deque[T]) PushBack(v T)      {}
+func (d *Deque[T]) Insert(i int, v T) {}
+func (d *Deque[T]) PopFront() (v T)   { return v }
+
+type qdisc struct{ q Deque[*packet] }
+
+// enqueueUnannotated retains the packet in a deque with no audit trail.
+func (d *qdisc) enqueueUnannotated(p *packet) {
+	d.q.PushBack(p)  // want "pooled packet pushed into a deque is retained past this call"
+	d.q.Insert(0, p) // want "pooled packet pushed into a deque is retained past this call"
+}
+
+// enqueue is the sanctioned qdisc retainer, annotated at the push.
+func (d *qdisc) enqueue(p *packet) {
+	d.q.PushBack(p) //meshvet:allow poolescape a queued packet is live until dequeue hands it onward
+}
+
+// Deques of plain values are not retention of pooled objects.
+func counts(d *Deque[int]) { d.PushBack(1) }

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"meshlayer/internal/admission"
 	"meshlayer/internal/cluster"
@@ -660,10 +663,52 @@ func (sc *Sidecar) ForEachPool(fn func(class string, dst simnet.Addr, conn *tran
 	}
 }
 
+// parseSpanID reads a span-ID header exactly as fmt.Sscanf(s, "%x",
+// &id) would, without its allocations: leading white space is skipped
+// (a newline there is an error), then the longest run of hex digits is
+// the value. An error (no digits, a newline, uint64 overflow) yields 0,
+// the "no parent" ID.
 func parseSpanID(s string) uint64 {
+	i := 0
+	for i < len(s) {
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == '\n' {
+			return 0
+		}
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += n
+	}
 	var id uint64
-	fmt.Sscanf(s, "%x", &id)
+	start := i
+	for ; i < len(s); i++ {
+		d, ok := hexDigit(s[i])
+		if !ok {
+			break
+		}
+		if id>>60 != 0 {
+			return 0 // overflows uint64
+		}
+		id = id<<4 | d
+	}
+	if i == start {
+		return 0
+	}
 	return id
 }
 
-func formatSpanID(id uint64) string { return fmt.Sprintf("%x", id) }
+func hexDigit(c byte) (uint64, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return uint64(c - '0'), true
+	case 'a' <= c && c <= 'f':
+		return uint64(c-'a') + 10, true
+	case 'A' <= c && c <= 'F':
+		return uint64(c-'A') + 10, true
+	}
+	return 0, false
+}
+
+// formatSpanID renders id as lowercase hex, as fmt's %x does.
+func formatSpanID(id uint64) string { return strconv.FormatUint(id, 16) }

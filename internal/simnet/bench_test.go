@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -58,32 +59,11 @@ func BenchmarkSchedulerCancel(b *testing.B) {
 // -> route -> qdisc -> serialize at line rate -> propagate -> deliver,
 // with a fixed window of packets in flight over one 15 Gbps link.
 func BenchmarkPacketPath(b *testing.B) {
-	s := NewScheduler()
-	net := NewNetwork(s)
-	na, nb := net.AddNode("a"), net.AddNode("b")
-	net.Connect(na, nb, LinkConfig{Rate: 15 * Gbps, Delay: 10 * time.Microsecond})
-	flow := FlowKey{Src: na.Addr(), Dst: nb.Addr(), SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
-	const window = 64
-	sent, delivered := 0, 0
-	var send func()
-	send = func() {
-		for sent < b.N && sent-delivered < window {
-			p := net.AllocPacket()
-			p.Flow = flow
-			p.Size = MTU
-			na.Inject(p)
-			sent++
-		}
-	}
-	nb.SetDeliver(func(p *Packet) { delivered++; send() })
+	r := newPacketRig(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
-	send()
-	s.Run()
+	r.run(b.N)
 	b.StopTimer()
-	if delivered != b.N {
-		b.Fatalf("delivered %d packets, want %d", delivered, b.N)
-	}
 }
 
 // BenchmarkFlowScheduler measures the flow-engine hot path: a steady
@@ -132,47 +112,101 @@ func BenchmarkFlowScheduler(b *testing.B) {
 // contention sensor. The delta against BenchmarkPacketPath is the
 // per-packet cost of hybrid fidelity.
 func BenchmarkHybridPacketPath(b *testing.B) {
-	s := NewScheduler()
-	net := NewNetwork(s)
-	net.SetFidelity(FidelityHybrid)
-	na, nb := net.AddNode("a"), net.AddNode("b")
-	nc := net.AddNode("c")
-	net.Connect(na, nb, LinkConfig{Rate: 15 * Gbps, Delay: 10 * time.Microsecond})
-	// A long-lived fluid flow crosses the benchmark link but is
-	// bottlenecked by its 1 Gbps first hop, keeping its share below the
-	// demotion threshold while exercising the coupled serialization.
-	net.Connect(nc, na, LinkConfig{Rate: 1 * Gbps, Delay: 10 * time.Microsecond})
-	eng := net.FlowEngine()
-	fpath, _, ok := eng.ResolvePath(nc, FlowKey{Src: nc.Addr(), Dst: nb.Addr()})
-	if !ok {
-		b.Fatal("no fluid path")
-	}
-	eng.Start(fpath, 1<<50, nil, nil)
-	flow := FlowKey{Src: na.Addr(), Dst: nb.Addr(), SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
-	// 16-packet window: a deeper burst would cross DemoteBacklog and
-	// evict the resident flow mid-benchmark.
-	const window = 16
-	sent, delivered := 0, 0
-	var send func()
-	send = func() {
-		for sent < b.N && sent-delivered < window {
-			p := net.AllocPacket()
-			p.Flow = flow
-			p.Size = MTU
-			na.Inject(p)
-			sent++
-		}
-	}
-	nb.SetDeliver(func(p *Packet) { delivered++; send() })
+	r := newPacketRig(b, true)
 	b.ReportAllocs()
 	b.ResetTimer()
-	send()
-	s.Run()
+	r.run(b.N)
 	b.StopTimer()
-	if delivered != b.N {
-		b.Fatalf("delivered %d packets, want %d", delivered, b.N)
+}
+
+// packetRig keeps a window of MTU packets in flight from a to b over a
+// 15 Gbps link. In hybrid mode a long-lived fluid flow crosses the same
+// link, bottlenecked by its 1 Gbps first hop so that its share stays
+// below the demotion threshold while every packet pays the coupled
+// serialization.
+type packetRig struct {
+	tb      testing.TB
+	s       *Scheduler
+	net     *Network
+	src     *Node
+	flow    FlowKey
+	window  int
+	hybrid  bool
+	sent    int
+	target  int
+	deliver int
+}
+
+func newPacketRig(tb testing.TB, hybrid bool) *packetRig {
+	s := NewScheduler()
+	net := NewNetwork(s)
+	r := &packetRig{tb: tb, s: s, net: net, window: 64, hybrid: hybrid}
+	if hybrid {
+		net.SetFidelity(FidelityHybrid)
+		// 16-packet window: a deeper burst would cross DemoteBacklog
+		// and evict the resident flow.
+		r.window = 16
 	}
-	if eng.Stats().Demoted != 0 {
-		b.Fatal("fluid flow demoted: the benchmark must measure coexistence, not demotion")
+	na, nb := net.AddNode("a"), net.AddNode("b")
+	net.Connect(na, nb, LinkConfig{Rate: 15 * Gbps, Delay: 10 * time.Microsecond})
+	if hybrid {
+		nc := net.AddNode("c")
+		net.Connect(nc, na, LinkConfig{Rate: 1 * Gbps, Delay: 10 * time.Microsecond})
+		eng := net.FlowEngine()
+		fpath, _, ok := eng.ResolvePath(nc, FlowKey{Src: nc.Addr(), Dst: nb.Addr()})
+		if !ok {
+			tb.Fatal("no fluid path")
+		}
+		eng.Start(fpath, 1<<50, nil, nil)
+	}
+	r.src = na
+	r.flow = FlowKey{Src: na.Addr(), Dst: nb.Addr(), SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
+	nb.SetDeliver(func(p *Packet) { r.deliver++; r.send() })
+	return r
+}
+
+func (r *packetRig) send() {
+	for r.sent < r.target && r.sent-r.deliver < r.window {
+		p := r.net.AllocPacket()
+		p.Flow = r.flow
+		p.Size = MTU
+		r.src.Inject(p)
+		r.sent++
+	}
+}
+
+// run pushes n more packets through and returns once all of them are
+// delivered.
+func (r *packetRig) run(n int) {
+	r.target += n
+	r.send()
+	for r.deliver < r.target && r.s.Step() {
+	}
+	if r.deliver != r.target {
+		r.tb.Fatalf("delivered %d packets, want %d", r.deliver, r.target)
+	}
+	if r.hybrid && r.net.FlowEngine().Stats().Demoted != 0 {
+		r.tb.Fatal("fluid flow demoted: the rig must measure coexistence, not demotion")
+	}
+}
+
+// TestPacketPathAllocatesNothing pins the packet hot path of both
+// benchmarks above at zero heap bytes per packet. It reads the exact
+// TotalAlloc delta over many packets after a warm-up, so a leak of a
+// few bytes per packet (a slide-forward queue reallocating on refill)
+// fails instead of rounding to "0 allocs/op".
+func TestPacketPathAllocatesNothing(t *testing.T) {
+	for _, hybrid := range []bool{false, true} {
+		r := newPacketRig(t, hybrid)
+		r.run(5000) // warm-up: the packet pool, rings and heap fill
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const n = 50000
+		r.run(n)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d != 0 {
+			t.Errorf("hybrid=%v: %d bytes allocated over %d packets (%.3f B/packet), want 0",
+				hybrid, d, n, float64(d)/n)
+		}
 	}
 }

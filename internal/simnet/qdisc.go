@@ -1,6 +1,10 @@
 package simnet
 
-import "time"
+import (
+	"time"
+
+	"meshlayer/internal/deque"
+)
 
 // Qdisc is a queueing discipline attached to a NIC's egress. The NIC
 // enqueues outbound packets and pulls the next packet to serialize
@@ -33,7 +37,7 @@ type Waker interface {
 // FIFO is a byte-bounded droptail queue, the default qdisc on every NIC.
 type FIFO struct {
 	limit   int // bytes; <=0 means DefaultFIFOLimit
-	queue   []*Packet
+	queue   deque.Deque[*Packet]
 	backlog int
 	drops   uint64
 }
@@ -60,25 +64,23 @@ func (f *FIFO) Enqueue(p *Packet) bool {
 		f.drops++
 		return false
 	}
-	f.queue = append(f.queue, p) //meshvet:allow poolescape a queued packet is live; it reaches its terminal free point only after Dequeue
+	f.queue.PushBack(p) //meshvet:allow poolescape a queued packet is live; it reaches its terminal free point only after Dequeue
 	f.backlog += p.Size
 	return true
 }
 
 // Dequeue implements Qdisc.
 func (f *FIFO) Dequeue() *Packet {
-	if len(f.queue) == 0 {
+	if f.queue.Len() == 0 {
 		return nil
 	}
-	p := f.queue[0]
-	f.queue[0] = nil
-	f.queue = f.queue[1:]
+	p := f.queue.PopFront()
 	f.backlog -= p.Size
 	return p
 }
 
 // Len implements Qdisc.
-func (f *FIFO) Len() int { return len(f.queue) }
+func (f *FIFO) Len() int { return f.queue.Len() }
 
 // Backlog implements Qdisc.
 func (f *FIFO) Backlog() int { return f.backlog }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"meshlayer/internal/deque"
 	"meshlayer/internal/simnet"
 )
 
@@ -18,7 +19,7 @@ type RED struct {
 	maxP       float64
 	wq         float64
 	rng        *rand.Rand
-	queue      []*simnet.Packet
+	queue      deque.Deque[*simnet.Packet]
 	backlog    int
 	avg        float64
 	count      int // packets since last early drop
@@ -94,25 +95,23 @@ func (q *RED) Enqueue(p *simnet.Packet) bool {
 			return false
 		}
 	}
-	q.queue = append(q.queue, p) //meshvet:allow poolescape a queued packet is live until Dequeue hands it onward
+	q.queue.PushBack(p) //meshvet:allow poolescape a queued packet is live until Dequeue hands it onward
 	q.backlog += p.Size
 	return true
 }
 
 // Dequeue implements simnet.Qdisc.
 func (q *RED) Dequeue() *simnet.Packet {
-	if len(q.queue) == 0 {
+	if q.queue.Len() == 0 {
 		return nil
 	}
-	p := q.queue[0]
-	q.queue[0] = nil
-	q.queue = q.queue[1:]
+	p := q.queue.PopFront()
 	q.backlog -= p.Size
 	return p
 }
 
 // Len implements simnet.Qdisc.
-func (q *RED) Len() int { return len(q.queue) }
+func (q *RED) Len() int { return q.queue.Len() }
 
 // Backlog implements simnet.Qdisc.
 func (q *RED) Backlog() int { return q.backlog }
@@ -127,7 +126,7 @@ type CoDel struct {
 	limit    int
 	clock    Clock
 
-	queue   []*simnet.Packet
+	queue   deque.Deque[*simnet.Packet]
 	backlog int
 
 	dropping  bool
@@ -173,15 +172,13 @@ func (q *CoDel) Enqueue(p *simnet.Packet) bool {
 		return false
 	}
 	p.EnqueuedAt = q.clock()
-	q.queue = append(q.queue, p) //meshvet:allow poolescape a queued packet is live until Dequeue hands it onward
+	q.queue.PushBack(p) //meshvet:allow poolescape a queued packet is live until Dequeue hands it onward
 	q.backlog += p.Size
 	return true
 }
 
 func (q *CoDel) pop() *simnet.Packet {
-	p := q.queue[0]
-	q.queue[0] = nil
-	q.queue = q.queue[1:]
+	p := q.queue.PopFront()
 	q.backlog -= p.Size
 	return p
 }
@@ -189,7 +186,7 @@ func (q *CoDel) pop() *simnet.Packet {
 // Dequeue implements simnet.Qdisc with the CoDel state machine.
 func (q *CoDel) Dequeue() *simnet.Packet {
 	now := q.clock()
-	for len(q.queue) > 0 {
+	for q.queue.Len() > 0 {
 		p := q.pop()
 		sojourn := now - p.EnqueuedAt
 		if sojourn < q.target || q.backlog < 2*simnet.MTU {
@@ -227,7 +224,7 @@ func (q *CoDel) Dequeue() *simnet.Packet {
 }
 
 // Len implements simnet.Qdisc.
-func (q *CoDel) Len() int { return len(q.queue) }
+func (q *CoDel) Len() int { return q.queue.Len() }
 
 // Backlog implements simnet.Qdisc.
 func (q *CoDel) Backlog() int { return q.backlog }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"meshlayer/internal/deque"
 	"meshlayer/internal/simnet"
 )
 
@@ -81,8 +82,8 @@ type Conn struct {
 	// Send side.
 	sndUna, sndNxt uint64
 	sendEnd        uint64
-	pendBounds     []Bound
-	segs           []segInfo
+	pendBounds     deque.Deque[Bound]
+	segs           deque.Deque[segInfo] // outstanding, ascending seq, non-overlapping
 	peerWnd        int
 	dupAcks        int
 	recovering     bool
@@ -93,7 +94,7 @@ type Conn struct {
 	// Receive side.
 	rcvNxt     uint64
 	ooo        []oooSeg
-	recvBounds []Bound
+	recvBounds deque.Deque[Bound] // ascending End
 	lastBound  uint64
 	peerFinSeq uint64
 	peerFin    bool
@@ -105,6 +106,7 @@ type Conn struct {
 	minRTT        time.Duration
 	lastRTTSample time.Duration
 	rtoTimer      simnet.Timer
+	rtoFn         func() // c.onRTO, bound once so re-arming allocates nothing
 	synTimer      simnet.Timer
 	synTries      int
 
@@ -113,12 +115,12 @@ type Conn struct {
 	consecRTOs int
 
 	// Fluid fast path (flow/hybrid fidelity; see fluid.go).
-	fluidQ         []fluidRange  // queued fluid ranges, ascending seq
-	fluidActive    bool          // fluidQ[0] is in the engine right now
-	fluidID        simnet.FlowID // engine handle for the active flow
-	fluidSpans     []fluidSpan   // fluid-delivered, not yet acked
-	fluidProp      time.Duration // one-way prop delay of the active path
-	fluidDoneFn    func()        // bound callbacks, allocated once
+	fluidQ         deque.Deque[fluidRange] // queued fluid ranges, ascending seq
+	fluidActive    bool                    // the front of fluidQ is in the engine right now
+	fluidID        simnet.FlowID           // engine handle for the active flow
+	fluidSpans     []fluidSpan             // fluid-delivered, not yet acked
+	fluidProp      time.Duration           // one-way prop delay of the active path
+	fluidDoneFn    func()                  // bound callbacks, allocated once
 	fluidDemoteFn  func()
 	fluidCompleted uint64 // messages delivered via the fast path
 	fluidDemotions uint64 // flows demoted back to packets
@@ -206,10 +208,11 @@ func (c *Conn) Timeouts() uint64 { return c.timeouts }
 // path, so the value can briefly regress across a demotion.
 func (c *Conn) BytesAcked() uint64 {
 	n := c.bytesAcked
-	if c.fluidActive && len(c.fluidQ) > 0 {
+	if c.fluidActive && c.fluidQ.Len() > 0 {
 		if eng := c.host.net.FlowEngine(); eng != nil {
 			if rem, ok := eng.Remaining(c.fluidID); ok {
-				if size := float64(c.fluidQ[0].end - c.fluidQ[0].seq); rem < size {
+				r := c.fluidQ.Front()
+				if size := float64(r.end - r.seq); rem < size {
 					n += uint64(size - rem)
 				}
 			}
@@ -238,10 +241,10 @@ func (c *Conn) SendMessage(meta any, size int) error {
 		size = 1 // a message occupies at least one byte of stream space
 	}
 	c.sendEnd += uint64(size)
-	c.pendBounds = append(c.pendBounds, Bound{End: c.sendEnd, Meta: meta})
+	c.pendBounds.PushBack(Bound{End: c.sendEnd, Meta: meta})
 	c.msgsOut++
 	if c.shouldFluid(size) {
-		c.fluidQ = append(c.fluidQ, fluidRange{seq: c.sendEnd - uint64(size), end: c.sendEnd, meta: meta})
+		c.fluidQ.PushBack(fluidRange{seq: c.sendEnd - uint64(size), end: c.sendEnd, meta: meta})
 	}
 	if c.state == stateEstablished {
 		c.trySend()
@@ -322,11 +325,11 @@ func (c *Conn) trySend() {
 		// none is queued — the packet-mode hot path, byte-identical to
 		// the historical loop).
 		limit := c.sendEnd
-		if len(c.fluidQ) > 0 {
-			limit = c.fluidQ[0].seq
+		if c.fluidQ.Len() > 0 {
+			limit = c.fluidQ.Front().seq
 		}
 		c.sendWindow(limit)
-		if len(c.fluidQ) == 0 || c.fluidActive || c.sndNxt != c.fluidQ[0].seq {
+		if c.fluidQ.Len() == 0 || c.fluidActive || c.sndNxt != c.fluidQ.Front().seq {
 			break
 		}
 		if c.startFluid() {
@@ -364,17 +367,17 @@ func (c *Conn) sendWindow(limit uint64) {
 func (c *Conn) sendSegment(seq uint64, length int) {
 	end := seq + uint64(length)
 	var bounds []Bound
-	for _, b := range c.pendBounds {
-		if b.End > seq && b.End <= end {
+	for i := 0; i < c.pendBounds.Len(); i++ {
+		if b := *c.pendBounds.At(i); b.End > seq && b.End <= end {
 			bounds = append(bounds, b)
 		}
 	}
 	// Prune pending bounds fully covered by transmitted data; keep them
 	// until sent at least once — retransmits read from segs.
-	for len(c.pendBounds) > 0 && c.pendBounds[0].End <= end {
-		c.pendBounds = c.pendBounds[1:]
+	for c.pendBounds.Len() > 0 && c.pendBounds.Front().End <= end {
+		c.pendBounds.PopFront()
 	}
-	c.segs = append(c.segs, segInfo{seq: seq, length: length, bounds: bounds})
+	c.segs.PushBack(segInfo{seq: seq, length: length, bounds: bounds})
 	c.bytesSent += uint64(length)
 	s := c.seg(SegDATA)
 	s.Seq = seq
@@ -395,7 +398,7 @@ func (c *Conn) maybeSendFIN() {
 	finSeq := c.sndNxt
 	c.sendEnd++ // FIN occupies one sequence byte
 	c.sndNxt++
-	c.segs = append(c.segs, segInfo{seq: finSeq, length: 1})
+	c.segs.PushBack(segInfo{seq: finSeq, length: 1})
 	s := c.seg(SegFIN)
 	s.Seq = finSeq
 	s.Len = 1
@@ -420,10 +423,10 @@ func (c *Conn) retransmitSeg(s *segInfo) {
 }
 
 func (c *Conn) retransmitFirst() {
-	if len(c.segs) == 0 {
+	if c.segs.Len() == 0 {
 		return
 	}
-	c.retransmitSeg(&c.segs[0])
+	c.retransmitSeg(c.segs.Front())
 }
 
 // rtxBurst bounds loss-repair retransmissions per incoming ACK.
@@ -434,9 +437,9 @@ const rtxBurst = 4
 // presumed lost (RFC 6675 spirit).
 func (c *Conn) sackRetransmit() {
 	var highest uint64
-	for i := range c.segs {
-		if c.segs[i].sacked {
-			if end := c.segs[i].seq + uint64(c.segs[i].length); end > highest {
+	for i := 0; i < c.segs.Len(); i++ {
+		if s := c.segs.At(i); s.sacked {
+			if end := s.seq + uint64(s.length); end > highest {
 				highest = end
 			}
 		}
@@ -445,8 +448,8 @@ func (c *Conn) sackRetransmit() {
 		return
 	}
 	sent := 0
-	for i := range c.segs {
-		s := &c.segs[i]
+	for i := 0; i < c.segs.Len(); i++ {
+		s := c.segs.At(i)
 		if s.seq >= highest {
 			break
 		}
@@ -461,21 +464,19 @@ func (c *Conn) sackRetransmit() {
 	}
 }
 
+// applySacks marks every outstanding segment that lies wholly inside
+// one of the SACK blocks. segs is sorted by seq and its segments do
+// not overlap, so their ends ascend too: the segments a block covers
+// are a run starting at the first seq >= Start, found by binary search.
 func (c *Conn) applySacks(sacks []SackBlock) {
-	if len(sacks) == 0 {
-		return
-	}
-	for i := range c.segs {
-		s := &c.segs[i]
-		if s.sacked {
-			continue
-		}
-		end := s.seq + uint64(s.length)
-		for _, b := range sacks {
-			if s.seq >= b.Start && end <= b.End {
-				s.sacked = true
+	for _, b := range sacks {
+		i := sort.Search(c.segs.Len(), func(i int) bool { return c.segs.At(i).seq >= b.Start })
+		for ; i < c.segs.Len(); i++ {
+			s := c.segs.At(i)
+			if s.seq+uint64(s.length) > b.End {
 				break
 			}
+			s.sacked = true
 		}
 	}
 }
@@ -497,8 +498,11 @@ func (c *Conn) currentRTO() time.Duration {
 }
 
 func (c *Conn) armRTO() {
+	if c.rtoFn == nil {
+		c.rtoFn = c.onRTO
+	}
 	c.rtoTimer.Cancel()
-	c.rtoTimer = c.host.sched.After(c.currentRTO(), c.onRTO)
+	c.rtoTimer = c.host.sched.After(c.currentRTO(), c.rtoFn)
 }
 
 func (c *Conn) disarmRTO() {
@@ -516,7 +520,7 @@ func (c *Conn) onRTO() {
 		c.teardown(ErrRetransmitLimit)
 		return
 	}
-	if len(c.segs) == 0 && len(c.fluidSpans) > 0 {
+	if c.segs.Len() == 0 && len(c.fluidSpans) > 0 {
 		// Only fluid-delivered bytes are unacked: the delivery notice's
 		// ACK was lost. Re-announce it — the receiver deduplicates via
 		// its lastBound watermark — and leave cc alone: fluid bytes were
@@ -533,8 +537,8 @@ func (c *Conn) onRTO() {
 	c.recovering = true
 	c.recoverPt = c.sndNxt
 	// Everything outstanding may be retransmitted again.
-	for i := range c.segs {
-		c.segs[i].rtxed = false
+	for i := 0; i < c.segs.Len(); i++ {
+		c.segs.At(i).rtxed = false
 	}
 	c.rto = min(c.currentRTO()*2, 60*time.Second) // exponential backoff
 	c.retransmitFirst()
@@ -612,11 +616,9 @@ func (c *Conn) processAck(seg *Segment) {
 		c.dupAcks = 0
 		c.consecRTOs = 0
 		// Prune fully acked segments.
-		i := 0
-		for i < len(c.segs) && c.segs[i].seq+uint64(c.segs[i].length) <= c.sndUna {
-			i++
+		for c.segs.Len() > 0 && c.segs.Front().seq+uint64(c.segs.Front().length) <= c.sndUna {
+			c.segs.PopFront()
 		}
-		c.segs = c.segs[i:]
 		c.sampleRTT(seg.TSEcr)
 		// Fluid bytes bypass congestion control: the engine's fair share
 		// governed them, so cc is only credited with packet-path bytes.
@@ -705,13 +707,11 @@ func (c *Conn) addRecvBound(b Bound) {
 		return
 	}
 	// Insert keeping order, ignoring duplicates (retransmits).
-	i := sort.Search(len(c.recvBounds), func(i int) bool { return c.recvBounds[i].End >= b.End })
-	if i < len(c.recvBounds) && c.recvBounds[i].End == b.End {
+	i := sort.Search(c.recvBounds.Len(), func(i int) bool { return c.recvBounds.At(i).End >= b.End })
+	if i < c.recvBounds.Len() && c.recvBounds.At(i).End == b.End {
 		return
 	}
-	c.recvBounds = append(c.recvBounds, Bound{})
-	copy(c.recvBounds[i+1:], c.recvBounds[i:])
-	c.recvBounds[i] = b
+	c.recvBounds.Insert(i, b)
 }
 
 // addOOO inserts the range keeping c.ooo sorted and coalesced, so the
@@ -759,9 +759,8 @@ func (c *Conn) mergeOOO() {
 }
 
 func (c *Conn) deliverReady() {
-	for len(c.recvBounds) > 0 && c.recvBounds[0].End <= c.rcvNxt {
-		b := c.recvBounds[0]
-		c.recvBounds = c.recvBounds[1:]
+	for c.recvBounds.Len() > 0 && c.recvBounds.Front().End <= c.rcvNxt {
+		b := c.recvBounds.PopFront()
 		size := int(b.End - c.lastBound)
 		c.lastBound = b.End
 		c.msgsIn++
@@ -772,7 +771,7 @@ func (c *Conn) deliverReady() {
 			return
 		}
 	}
-	if c.peerFin && c.rcvNxt >= c.peerFinSeq+1 && len(c.recvBounds) == 0 {
+	if c.peerFin && c.rcvNxt >= c.peerFinSeq+1 && c.recvBounds.Len() == 0 {
 		// Peer finished and everything is delivered.
 		if c.finSent && c.sndUna == c.sndNxt {
 			c.teardown(nil)

@@ -73,14 +73,15 @@ func (c *Conn) shouldFluid(size int) bool {
 	return true
 }
 
-// startFluid hands fluidQ[0] to the flow engine. The caller has already
-// packet-sent every byte before the range (sndNxt == fluidQ[0].seq).
+// startFluid hands the front of fluidQ to the flow engine. The caller
+// has already packet-sent every byte before the range (sndNxt equals
+// its seq).
 // Returns false if the path is unusable, in which case the range is
 // popped and falls back to the packet path (its bound is still in
 // pendBounds).
 func (c *Conn) startFluid() bool {
 	eng := c.host.net.FlowEngine()
-	r := c.fluidQ[0]
+	r := *c.fluidQ.Front()
 	path, prop, ok := eng.ResolvePath(c.host.node, c.flow)
 	if ok && !eng.PathEligible(path) {
 		// Impaired, down, custom-qdisc, or backlogged hops need exact
@@ -89,13 +90,13 @@ func (c *Conn) startFluid() bool {
 		ok = false
 	}
 	if !ok {
-		c.fluidQ = c.fluidQ[1:]
+		c.fluidQ.PopFront()
 		return false
 	}
 	// The bound rides the flow now; drop it from pendBounds so the
 	// packet path cannot deliver it twice.
-	if len(c.pendBounds) > 0 && c.pendBounds[0].End == r.end {
-		c.pendBounds = c.pendBounds[1:]
+	if c.pendBounds.Len() > 0 && c.pendBounds.Front().End == r.end {
+		c.pendBounds.PopFront()
 	}
 	if c.fluidDoneFn == nil {
 		c.fluidDoneFn = c.onFluidComplete
@@ -115,8 +116,7 @@ func (c *Conn) onFluidComplete() {
 	if c.state != stateEstablished || !c.fluidActive {
 		return
 	}
-	r := c.fluidQ[0]
-	c.fluidQ = c.fluidQ[1:]
+	r := c.fluidQ.PopFront()
 	c.fluidActive = false
 	c.fluidID = 0
 	c.fluidCompleted++
@@ -135,19 +135,16 @@ func (c *Conn) onFluidComplete() {
 // when the active flow is demoted to packet fidelity. The remaining
 // range goes back to the packet path from its start.
 func (c *Conn) onFluidDemote() {
-	if c.state != stateEstablished || !c.fluidActive || len(c.fluidQ) == 0 {
+	if c.state != stateEstablished || !c.fluidActive || c.fluidQ.Len() == 0 {
 		return
 	}
 	c.fluidActive = false
 	c.fluidID = 0
 	c.fluidDemotions++
-	r := c.fluidQ[0]
-	c.fluidQ = c.fluidQ[1:]
+	r := c.fluidQ.PopFront()
 	// Restore the message bound at the front of pendBounds (it precedes
 	// every bound still there) so sendSegment re-attaches it.
-	c.pendBounds = append(c.pendBounds, Bound{})
-	copy(c.pendBounds[1:], c.pendBounds)
-	c.pendBounds[0] = Bound{End: r.end, Meta: r.meta}
+	c.pendBounds.PushFront(Bound{End: r.end, Meta: r.meta})
 	c.trySend()
 }
 
