@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,41 +24,54 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is meshbench with its arguments and output streams passed in; it
+// returns the process exit code (2 for bad input).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("meshbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig4|licost|overhead|ablation|scavenger|adaptivelb|redundant|hops|bottleneck|skew|resilience|qdisc|overload|chaos|zonefail|ctrlplane|federation|engine|fidelity|ctrlscale|all (engine, fidelity, and ctrlscale are never part of all)")
-		seed     = flag.Int64("seed", 1, "random seed (same seed = identical run)")
-		rps      = flag.Float64("rps", 40, "per-workload RPS for the ablation experiment")
-		levels   = flag.String("levels", "10,20,30,40,50", "comma-separated RPS levels for the fig4 sweep")
-		warmup   = flag.Duration("warmup", 2*time.Second, "warm-up excluded from measurement")
-		measure  = flag.Duration("measure", 20*time.Second, "measured window per run")
-		opts     = flag.String("opts", "routing,tc", "optimizations for the fig4 sweep: routing,tc,scavenger,sdn")
-		chart    = flag.Bool("chart", false, "also render fig4 as an ASCII chart")
-		csv      = flag.Bool("csv", false, "emit fig4 as CSV instead of a table")
-		parallel = flag.Int("parallel", meshlayer.MaxParallel, "max concurrent simulation runs per sweep (1 = sequential; output is identical either way)")
-		fidelity = flag.String("fidelity", "packet", "simulation fidelity for every experiment: packet|flow|hybrid (E20 compares all three itself, regardless)")
-		zones    = flag.Int("zones", 0, "E20 fan-in zone count, 100 pods each (0 = the full 100-zone, 10k-pod sweep)")
-		subs     = flag.Int("subs", 0, "E21 subscriber (worker sidecar) count (0 = the full 10k fleet)")
+		exp      = fs.String("exp", "all", "experiment: fig4|licost|overhead|ablation|scavenger|adaptivelb|redundant|hops|bottleneck|skew|resilience|qdisc|overload|chaos|zonefail|ctrlplane|federation|engine|fidelity|ctrlscale|all (engine, fidelity, and ctrlscale are never part of all)")
+		seed     = fs.Int64("seed", 1, "random seed (same seed = identical run)")
+		rps      = fs.Float64("rps", 40, "per-workload RPS for the ablation experiment")
+		levels   = fs.String("levels", "10,20,30,40,50", "comma-separated RPS levels for the fig4 sweep")
+		warmup   = fs.Duration("warmup", 2*time.Second, "warm-up excluded from measurement")
+		measure  = fs.Duration("measure", 20*time.Second, "measured window per run")
+		opts     = fs.String("opts", "routing,tc", "optimizations for the fig4 sweep: routing,tc,scavenger,sdn")
+		chart    = fs.Bool("chart", false, "also render fig4 as an ASCII chart")
+		csv      = fs.Bool("csv", false, "emit fig4 as CSV instead of a table")
+		parallel = fs.Int("parallel", meshlayer.MaxParallel, "max concurrent simulation runs per sweep (1 = sequential; output is identical either way)")
+		fidelity = fs.String("fidelity", "packet", "simulation fidelity for every experiment: packet|flow|hybrid (E20 compares all three itself, regardless)")
+		zones    = fs.Int("zones", 0, "E20 fan-in zone count, 100 pods each (0 = the full 100-zone, 10k-pod sweep)")
+		subs     = fs.Int("subs", 0, "E21 subscriber (worker sidecar) count (0 = the full 10k fleet)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *parallel > 0 {
 		meshlayer.MaxParallel = *parallel
 	}
 	fid, err := simnet.ParseFidelity(*fidelity)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "meshbench:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "meshbench:", err)
+		return 2
 	}
 	simnet.SetDefaultFidelity(fid)
 
 	rpsLevels, err := parseLevels(*levels)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "meshbench:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "meshbench:", err)
+		return 2
 	}
 	opt, err := meshlayer.ParseOptimizations(*opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "meshbench:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "meshbench:", err)
+		return 2
 	}
 
 	mixed := meshlayer.MixedConfig{Warmup: *warmup, Measure: *measure}
@@ -65,7 +80,7 @@ func main() {
 
 	if want("fig4") || want("licost") {
 		ran = true
-		fmt.Printf("# sweep: opts=%s levels=%v measure=%v seed=%d\n\n", opt, rpsLevels, *measure, *seed)
+		fmt.Fprintf(stdout, "# sweep: opts=%s levels=%v measure=%v seed=%d\n\n", opt, rpsLevels, *measure, *seed)
 		points := meshlayer.RunSweep(meshlayer.SweepConfig{
 			RPSLevels: rpsLevels,
 			Opt:       opt,
@@ -75,100 +90,101 @@ func main() {
 		})
 		if want("fig4") {
 			if *csv {
-				fmt.Print(meshlayer.CSVFig4(points))
+				fmt.Fprint(stdout, meshlayer.CSVFig4(points))
 			} else {
-				fmt.Println(meshlayer.FormatFig4(points))
+				fmt.Fprintln(stdout, meshlayer.FormatFig4(points))
 			}
 			if *chart {
-				fmt.Println(meshlayer.ChartFig4(points))
+				fmt.Fprintln(stdout, meshlayer.ChartFig4(points))
 			}
 		}
 		if want("licost") && !*csv {
-			fmt.Println(meshlayer.FormatLICost(points))
+			fmt.Fprintln(stdout, meshlayer.FormatLICost(points))
 		}
 	}
 	if want("overhead") {
 		ran = true
-		fmt.Println(meshlayer.FormatOverhead(meshlayer.RunSidecarOverhead(2000, *seed)))
+		fmt.Fprintln(stdout, meshlayer.FormatOverhead(meshlayer.RunSidecarOverhead(2000, *seed)))
 	}
 	if want("ablation") {
 		ran = true
-		fmt.Println(meshlayer.FormatAblation(meshlayer.RunAblation(*rps, *seed, mixed), *rps))
+		fmt.Fprintln(stdout, meshlayer.FormatAblation(meshlayer.RunAblation(*rps, *seed, mixed), *rps))
 	}
 	if want("scavenger") {
 		ran = true
-		fmt.Println(meshlayer.FormatScavenger(meshlayer.RunScavenger(*seed)))
+		fmt.Fprintln(stdout, meshlayer.FormatScavenger(meshlayer.RunScavenger(*seed)))
 	}
 	if want("adaptivelb") {
 		ran = true
-		fmt.Println(meshlayer.FormatAdaptiveLB(meshlayer.RunAdaptiveLB(50, *seed)))
+		fmt.Fprintln(stdout, meshlayer.FormatAdaptiveLB(meshlayer.RunAdaptiveLB(50, *seed)))
 	}
 	if want("redundant") {
 		ran = true
-		fmt.Println(meshlayer.FormatRedundant(meshlayer.RunRedundant(30, *seed)))
+		fmt.Fprintln(stdout, meshlayer.FormatRedundant(meshlayer.RunRedundant(30, *seed)))
 	}
 	if want("hops") {
 		ran = true
-		fmt.Println(meshlayer.FormatHopDepth(meshlayer.RunHopDepth(nil, 500, *seed)))
+		fmt.Fprintln(stdout, meshlayer.FormatHopDepth(meshlayer.RunHopDepth(nil, 500, *seed)))
 	}
 	if want("bottleneck") {
 		ran = true
-		fmt.Println(meshlayer.FormatBottleneck(meshlayer.RunBottleneckSweep(nil, *seed, mixed)))
+		fmt.Fprintln(stdout, meshlayer.FormatBottleneck(meshlayer.RunBottleneckSweep(nil, *seed, mixed)))
 	}
 	if want("skew") {
 		ran = true
-		fmt.Println(meshlayer.FormatSkew(meshlayer.RunSkewSweep(nil, *seed, mixed)))
+		fmt.Fprintln(stdout, meshlayer.FormatSkew(meshlayer.RunSkewSweep(nil, *seed, mixed)))
 	}
 	if want("resilience") {
 		ran = true
-		fmt.Println(meshlayer.FormatResilience(meshlayer.RunResilience(30, *seed)))
+		fmt.Fprintln(stdout, meshlayer.FormatResilience(meshlayer.RunResilience(30, *seed)))
 	}
 	if want("qdisc") {
 		ran = true
-		fmt.Println(meshlayer.FormatQdiscComparison(meshlayer.RunQdiscComparison(*rps, *seed, mixed), *rps))
+		fmt.Fprintln(stdout, meshlayer.FormatQdiscComparison(meshlayer.RunQdiscComparison(*rps, *seed, mixed), *rps))
 	}
 	if want("overload") {
 		ran = true
-		fmt.Println(meshlayer.FormatOverload(meshlayer.RunOverload(*seed, *warmup, *measure)))
+		fmt.Fprintln(stdout, meshlayer.FormatOverload(meshlayer.RunOverload(*seed, *warmup, *measure)))
 	}
 	if want("chaos") {
 		ran = true
-		fmt.Println(meshlayer.FormatChaos(meshlayer.RunChaos(*seed, *warmup, *measure)))
+		fmt.Fprintln(stdout, meshlayer.FormatChaos(meshlayer.RunChaos(*seed, *warmup, *measure)))
 	}
 	if want("zonefail") {
 		ran = true
-		fmt.Println(meshlayer.FormatZoneFail(meshlayer.RunZoneFail(*seed, *warmup, *measure)))
+		fmt.Fprintln(stdout, meshlayer.FormatZoneFail(meshlayer.RunZoneFail(*seed, *warmup, *measure)))
 	}
 	if want("ctrlplane") {
 		ran = true
-		fmt.Println(meshlayer.FormatCtrlPlane(meshlayer.RunCtrlPlane(*seed, *warmup, *measure)))
+		fmt.Fprintln(stdout, meshlayer.FormatCtrlPlane(meshlayer.RunCtrlPlane(*seed, *warmup, *measure)))
 	}
 	if want("federation") {
 		ran = true
-		fmt.Println(meshlayer.FormatFederation(meshlayer.RunFederation(*seed, *warmup, *measure)))
+		fmt.Fprintln(stdout, meshlayer.FormatFederation(meshlayer.RunFederation(*seed, *warmup, *measure)))
 	}
 	// E16 measures the simulator itself (wall-clock, host-dependent), so
 	// it runs only when asked for explicitly — never as part of "all".
 	if *exp == "engine" {
 		ran = true
-		fmt.Println(meshlayer.FormatEngine(meshlayer.RunEngineBench(0, 0)))
+		fmt.Fprintln(stdout, meshlayer.FormatEngine(meshlayer.RunEngineBench(0, 0)))
 	}
 	// E20 is deterministic but deliberately heavyweight (a 10k-pod
 	// sweep), so it too runs only when asked for explicitly.
 	if *exp == "fidelity" {
 		ran = true
-		fmt.Println(meshlayer.FormatFidelity(meshlayer.RunFidelityBench(*zones, 0)))
+		fmt.Fprintln(stdout, meshlayer.FormatFidelity(meshlayer.RunFidelityBench(*zones, 0)))
 	}
 	// E21 runs a 10k-sidecar fleet under hybrid fidelity (its own
 	// per-network setting); explicit-only for the same reason as E20.
 	if *exp == "ctrlscale" {
 		ran = true
-		fmt.Println(meshlayer.FormatCtrlScale(meshlayer.RunCtrlScale(*seed, *subs, *warmup, *measure)))
+		fmt.Fprintln(stdout, meshlayer.FormatCtrlScale(meshlayer.RunCtrlScale(*seed, *subs, *warmup, *measure)))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "meshbench: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "meshbench: unknown experiment %q\n", *exp)
+		return 2
 	}
+	return 0
 }
 
 func parseLevels(s string) ([]float64, error) {
