@@ -1,8 +1,8 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs `make check`.
 
-.PHONY: check build vet lint test race fuzz-short bench bench-json chaos-smoke ctrlplane-smoke federation-smoke hybrid-smoke ctrlscale-smoke
+.PHONY: check build vet lint test race fuzz-short bench bench-json smoke
 
-check: build vet lint test chaos-smoke ctrlplane-smoke federation-smoke hybrid-smoke ctrlscale-smoke
+check: build vet lint test smoke
 
 build:
 	go build ./...
@@ -63,68 +63,13 @@ bench-json:
 	go test . -run '^$$' -bench 'Federation' -benchtime 3x | go run ./cmd/benchjson > BENCH_federation.json
 	@echo "wrote BENCH_federation.json"
 
-# Determinism golden check: the same seed must reproduce the E15 chaos
-# and E17 zone-failure runs byte-for-byte — including with the parallel
-# sweep pool disabled, which pins the parallel == sequential property.
-chaos-smoke:
-	@a=$$(mktemp) && b=$$(mktemp) && c=$$(mktemp) && \
-	go run ./cmd/meshbench -exp chaos -warmup 1s -measure 4s -seed 7 > $$a && \
-	go run ./cmd/meshbench -exp chaos -warmup 1s -measure 4s -seed 7 > $$b && \
-	go run ./cmd/meshbench -exp chaos -warmup 1s -measure 4s -seed 7 -parallel 1 > $$c && \
-	cmp $$a $$b && cmp $$a $$c && echo "chaos-smoke: chaos deterministic (parallel == sequential)" && \
-	go run ./cmd/meshbench -exp zonefail -warmup 1s -measure 4s -seed 7 > $$a && \
-	go run ./cmd/meshbench -exp zonefail -warmup 1s -measure 4s -seed 7 > $$b && \
-	go run ./cmd/meshbench -exp zonefail -warmup 1s -measure 4s -seed 7 -parallel 1 > $$c && \
-	cmp $$a $$b && cmp $$a $$c && echo "chaos-smoke: zonefail deterministic (parallel == sequential)" ; \
-	rc=$$? ; rm -f $$a $$b $$c ; exit $$rc
-
-# Same golden property for E18: push scheduling, debounce timers, and
-# simulated xDS traffic must replay byte-for-byte at any -parallel.
-ctrlplane-smoke:
-	@a=$$(mktemp) && b=$$(mktemp) && c=$$(mktemp) && \
-	go run ./cmd/meshbench -exp ctrlplane -warmup 1s -measure 4s -seed 7 > $$a && \
-	go run ./cmd/meshbench -exp ctrlplane -warmup 1s -measure 4s -seed 7 > $$b && \
-	go run ./cmd/meshbench -exp ctrlplane -warmup 1s -measure 4s -seed 7 -parallel 1 > $$c && \
-	cmp $$a $$b && cmp $$a $$c && echo "ctrlplane-smoke: ctrlplane deterministic (parallel == sequential)" ; \
-	rc=$$? ; rm -f $$a $$b $$c ; exit $$rc
-
-# Same golden property for E19: WAN chaos, per-region control planes,
-# summary exchange, and gateway routing must replay byte-for-byte.
-federation-smoke:
-	@a=$$(mktemp) && b=$$(mktemp) && c=$$(mktemp) && \
-	go run ./cmd/meshbench -exp federation -warmup 1s -measure 4s -seed 7 > $$a && \
-	go run ./cmd/meshbench -exp federation -warmup 1s -measure 4s -seed 7 > $$b && \
-	go run ./cmd/meshbench -exp federation -warmup 1s -measure 4s -seed 7 -parallel 1 > $$c && \
-	cmp $$a $$b && cmp $$a $$c && echo "federation-smoke: federation deterministic (parallel == sequential)" ; \
-	rc=$$? ; rm -f $$a $$b $$c ; exit $$rc
-
-# Same golden property for E21 at its smoke scale (1000 subscribers):
-# crash/recovery epochs, backoff jitter, admission queues, and the
-# convergence probe must replay byte-for-byte at any -parallel.
-ctrlscale-smoke:
-	@a=$$(mktemp) && b=$$(mktemp) && c=$$(mktemp) && \
-	go run ./cmd/meshbench -exp ctrlscale -subs 1000 -warmup 1s -measure 12s -seed 7 > $$a && \
-	go run ./cmd/meshbench -exp ctrlscale -subs 1000 -warmup 1s -measure 12s -seed 7 > $$b && \
-	go run ./cmd/meshbench -exp ctrlscale -subs 1000 -warmup 1s -measure 12s -seed 7 -parallel 1 > $$c && \
-	cmp $$a $$b && cmp $$a $$c && echo "ctrlscale-smoke: ctrlscale deterministic (parallel == sequential)" ; \
-	rc=$$? ; rm -f $$a $$b $$c ; exit $$rc
-
-# Determinism golden for the fluid fast path (E20 and -fidelity): the
-# fidelity ladder and a full chaos run under flow and hybrid fidelity
-# must replay byte-for-byte — including with the sweep pool disabled,
-# which pins parallel == sequential for the flow-event scheduler too.
-hybrid-smoke:
-	@a=$$(mktemp) && b=$$(mktemp) && c=$$(mktemp) && \
-	go run ./cmd/meshbench -exp fidelity -zones 20 > $$a && \
-	go run ./cmd/meshbench -exp fidelity -zones 20 > $$b && \
-	go run ./cmd/meshbench -exp fidelity -zones 20 -parallel 1 > $$c && \
-	cmp $$a $$b && cmp $$a $$c && echo "hybrid-smoke: E20 deterministic (parallel == sequential)" && \
-	go run ./cmd/meshbench -exp chaos -fidelity flow -warmup 1s -measure 4s -seed 7 > $$a && \
-	go run ./cmd/meshbench -exp chaos -fidelity flow -warmup 1s -measure 4s -seed 7 > $$b && \
-	go run ./cmd/meshbench -exp chaos -fidelity flow -warmup 1s -measure 4s -seed 7 -parallel 1 > $$c && \
-	cmp $$a $$b && cmp $$a $$c && echo "hybrid-smoke: chaos deterministic under flow fidelity" && \
-	go run ./cmd/meshbench -exp chaos -fidelity hybrid -warmup 1s -measure 4s -seed 7 > $$a && \
-	go run ./cmd/meshbench -exp chaos -fidelity hybrid -warmup 1s -measure 4s -seed 7 > $$b && \
-	go run ./cmd/meshbench -exp chaos -fidelity hybrid -warmup 1s -measure 4s -seed 7 -parallel 1 > $$c && \
-	cmp $$a $$b && cmp $$a $$c && echo "hybrid-smoke: chaos deterministic under hybrid fidelity" ; \
-	rc=$$? ; rm -f $$a $$b $$c ; exit $$rc
+# Determinism against stored output: TestGoldens (cmd/meshbench)
+# replays every deterministic experiment — the fault ladders, E21 at
+# 1000 subscribers, E20 at 20 zones, chaos under flow and hybrid
+# fidelity, and every other -exp all table at a short window — and
+# compares each with its golden in cmd/meshbench/testdata/golden byte
+# for byte. Sweeps run MaxParallel = GOMAXPROCS wide, so -cpu 1,4 pins
+# sequential == parallel == stored. After an intended output change,
+# regenerate with: go test ./cmd/meshbench -run TestGoldens -update
+smoke:
+	go test ./cmd/meshbench -run TestGoldens -count 1 -cpu 1,4

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,24 +31,33 @@ var (
 	shortWindow = []string{"-warmup", "1s", "-measure", "1s"}
 )
 
+// goldenArgs overrides shortWindow for the experiments whose goldens
+// replay the fault-ladder and fast-path smoke runs.
+var goldenArgs = map[string][]string{
+	"chaos":      smokeWindow,
+	"zonefail":   smokeWindow,
+	"ctrlplane":  smokeWindow,
+	"federation": smokeWindow,
+	"ctrlscale":  {"-subs", "1000", "-warmup", "1s", "-measure", "12s", "-seed", "7"},
+	"fidelity":   {"-zones", "20"},
+}
+
+// goldens lists one entry per deterministic experiment in the table,
+// plus the chaos ladder under the flow and hybrid fidelities.
 func goldens() []golden {
-	g := func(name string, args ...string) golden { return golden{name, args} }
-	exp := func(name string, window []string, extra ...string) golden {
-		return g(name, append(append([]string{"-exp", name}, extra...), window...)...)
+	var out []golden
+	for _, e := range experiments {
+		if e.wallClock {
+			continue
+		}
+		args, ok := goldenArgs[e.name]
+		if !ok {
+			args = shortWindow
+		}
+		out = append(out, golden{e.name, append([]string{"-exp", e.name}, args...)})
 	}
-	out := []golden{
-		exp("chaos", smokeWindow),
-		exp("zonefail", smokeWindow),
-		exp("ctrlplane", smokeWindow),
-		exp("federation", smokeWindow),
-		g("chaos-flow", append([]string{"-exp", "chaos", "-fidelity", "flow"}, smokeWindow...)...),
-		g("chaos-hybrid", append([]string{"-exp", "chaos", "-fidelity", "hybrid"}, smokeWindow...)...),
-		g("ctrlscale", "-exp", "ctrlscale", "-subs", "1000", "-warmup", "1s", "-measure", "12s", "-seed", "7"),
-		g("fidelity", "-exp", "fidelity", "-zones", "20"),
-	}
-	for _, name := range []string{"fig4", "licost", "overhead", "ablation", "scavenger",
-		"adaptivelb", "redundant", "hops", "bottleneck", "skew", "resilience", "qdisc", "overload"} {
-		out = append(out, exp(name, shortWindow))
+	for _, fid := range []string{"flow", "hybrid"} {
+		out = append(out, golden{"chaos-" + fid, append([]string{"-exp", "chaos", "-fidelity", fid}, smokeWindow...)})
 	}
 	return out
 }
@@ -62,7 +72,18 @@ func TestGoldens(t *testing.T) {
 	}
 	saved := meshlayer.MaxParallel
 	defer func() { meshlayer.MaxParallel = saved }()
-	for _, g := range goldens() {
+	entries := goldens()
+	stored, err := filepath.Glob(filepath.Join("testdata", "golden", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range stored {
+		name := strings.TrimSuffix(filepath.Base(path), ".txt")
+		if !slices.ContainsFunc(entries, func(g golden) bool { return g.name == name }) {
+			t.Errorf("%s has no entry in goldens(); delete it or add the entry", path)
+		}
+	}
+	for _, g := range entries {
 		t.Run(g.name, func(t *testing.T) {
 			meshlayer.MaxParallel = runtime.GOMAXPROCS(0)
 			// -fidelity sets a process-wide default; later entries must

@@ -49,9 +49,10 @@ const (
 	// CtrlScaleSubs is the default worker-sidecar count (meshbench
 	// -subs overrides; the smoke runs 1000).
 	CtrlScaleSubs = 10000
-	// ctrlScalePodsPerShard is each worker service's replica count; the
-	// shard count is subs/ctrlScalePodsPerShard.
-	ctrlScalePodsPerShard = 20
+	// CtrlScalePodsPerShard is each worker service's replica count; the
+	// shard count is subs/CtrlScalePodsPerShard, so subs must be a
+	// multiple of it.
+	CtrlScalePodsPerShard = 20
 	// ctrlScaleFrontends is the frontend replica count: the tier whose
 	// snapshot staleness decides whether requests keep dialing killed
 	// worker pods.
@@ -105,23 +106,15 @@ func RunCtrlScale(seed int64, subs int, warmup, measure time.Duration) []CtrlSca
 	if subs <= 0 {
 		subs = CtrlScaleSubs
 	}
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 30 * time.Second
-	}
-	defenses := []ctrlScaleDefense{
+	warmup, measure = windowDefaults(warmup, measure, 30*time.Second)
+	return sweep([]ctrlScaleDefense{
 		{name: "L0: none (fixed resync, unlimited fan-out)"},
 		{name: "L1: +backoff+jitter", backoff: true},
 		{name: "L2: +push backpressure (256 in flight)", backoff: true, inflight: 256},
 		{name: "L3: +resync admission (64 slots)", backoff: true, inflight: 256, resyncs: 64},
-	}
-	out := make([]CtrlScaleRow, len(defenses))
-	runIndexed(len(defenses), func(i int) {
-		out[i] = runCtrlScaleOnce(defenses[i], subs, seed, warmup, measure)
+	}, func(def ctrlScaleDefense) CtrlScaleRow {
+		return runCtrlScaleOnce(def, subs, seed, warmup, measure)
 	})
-	return out
 }
 
 func runCtrlScaleOnce(def ctrlScaleDefense, subs int, seed int64, warmup, measure time.Duration) CtrlScaleRow {
@@ -130,7 +123,7 @@ func runCtrlScaleOnce(def ctrlScaleDefense, subs int, seed int64, warmup, measur
 	net.SetFidelity(simnet.FidelityHybrid)
 	cl := cluster.New(net)
 
-	shards := subs / ctrlScalePodsPerShard
+	shards := subs / CtrlScalePodsPerShard
 	if shards < 1 {
 		shards = 1
 	}
@@ -169,12 +162,12 @@ func runCtrlScaleOnce(def ctrlScaleDefense, subs int, seed int64, warmup, measur
 	}
 	cl.AddService("frontend", 9080, map[string]string{"app": "frontend"})
 
-	// Worker fleet: shards of ctrlScalePodsPerShard replicas. Every
+	// Worker fleet: shards of CtrlScalePodsPerShard replicas. Every
 	// worker sidecar subscribes to the control plane — these are the
 	// 10k subscribers.
 	for k := 0; k < shards; k++ {
 		svc := shardSvc(k)
-		for i := 0; i < ctrlScalePodsPerShard; i++ {
+		for i := 0; i < CtrlScalePodsPerShard; i++ {
 			pod := cl.AddPod(cluster.PodSpec{
 				Name:   fmt.Sprintf("%s-%d", svc, i),
 				Labels: map[string]string{"app": svc},
@@ -205,7 +198,7 @@ func runCtrlScaleOnce(def ctrlScaleDefense, subs int, seed int64, warmup, measur
 	// decides whether that capacity is used or thrashed.
 	nSubs := subs + ctrlScaleFrontends + 1
 	fullBytes := 64 + // update header
-		shards*(24+48+24*ctrlScalePodsPerShard+40) + // worker resources (+retry policy)
+		shards*(24+48+24*CtrlScalePodsPerShard+40) + // worker resources (+retry policy)
 		(24 + 48 + 24*ctrlScaleFrontends + 40) // frontend resource
 	cpRate := int64(fullBytes) * int64(nSubs) * 8 / 4
 	if cpRate < simnet.Mbps {
@@ -285,21 +278,14 @@ func runCtrlScaleOnce(def ctrlScaleDefense, subs int, seed int64, warmup, measur
 	})
 	sched.RunFor(warmup + measure + 3*time.Second)
 
-	avail := func(from, to time.Duration) float64 {
-		ok, fail := rec.Counts(from, to)
-		if ok+fail == 0 {
-			return 1
-		}
-		return float64(ok) / float64(ok+fail)
-	}
 	st := srv.Stats()
 	row := CtrlScaleRow{
 		Config:       def.name,
 		Subs:         subs,
 		Recovered:    recoveredAt >= 0,
-		Avail:        avail(warmup, warmup+measure),
-		StormAvail:   avail(stormAt, stormEnd),
-		TailAvail:    avail(crashAt, stormEnd),
+		Avail:        availability(warmup, warmup+measure, rec),
+		StormAvail:   availability(stormAt, stormEnd, rec),
+		TailAvail:    availability(crashAt, stormEnd, rec),
 		ReqP99:       g.Results().P99(),
 		DeltaPushes:  st.DeltaPushes,
 		FullPushes:   st.FullPushes,

@@ -6,7 +6,6 @@ import (
 
 	"meshlayer/internal/app"
 	"meshlayer/internal/chaos"
-	"meshlayer/internal/ctrlplane"
 	"meshlayer/internal/mesh"
 	"meshlayer/internal/workload"
 )
@@ -56,7 +55,7 @@ func ctrlStormSuite(zones []string, warmup, measure time.Duration) (chaos.Scenar
 	var pods []string
 	for i := range zones {
 		suffix := string(rune('a' + i))
-		for _, svc := range []string{"frontend", "details", "reviews", "ratings"} {
+		for _, svc := range meshServices {
 			pods = append(pods, svc+"-"+suffix)
 		}
 	}
@@ -86,19 +85,15 @@ func ctrlStormSuite(zones []string, warmup, measure time.Duration) (chaos.Scenar
 // exactly what decides whether it keeps dialing a killed pod, and each
 // such dial is a user-visible failure rather than a retried one.
 func RunCtrlPlane(seed int64, warmup, measure time.Duration) []CtrlPlaneRow {
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 20 * time.Second
-	}
-	configs := []struct {
+	warmup, measure = windowDefaults(warmup, measure, 20*time.Second)
+	type config struct {
 		name     string
 		zones    int
 		dist     bool
 		debounce time.Duration
 		full     bool
-	}{
+	}
+	return sweep([]config{
 		{"instant propagation (shared state)", CtrlStormZones, false, 0, false},
 		{"delta push, 10ms debounce", CtrlStormZones, true, 10 * time.Millisecond, false},
 		{"delta push, 100ms debounce", CtrlStormZones, true, 100 * time.Millisecond, false},
@@ -106,13 +101,9 @@ func RunCtrlPlane(seed int64, warmup, measure time.Duration) []CtrlPlaneRow {
 		{"delta push, 2s debounce", CtrlStormZones, true, 2 * time.Second, false},
 		{"full-state push, 100ms debounce", CtrlStormZones, true, 100 * time.Millisecond, true},
 		{"delta push, 100ms debounce, 6 zones", 2 * CtrlStormZones, true, 100 * time.Millisecond, false},
-	}
-	out := make([]CtrlPlaneRow, len(configs))
-	runIndexed(len(configs), func(i int) {
-		c := configs[i]
-		out[i] = runCtrlPlaneOnce(c.name, c.zones, c.dist, c.debounce, c.full, seed, warmup, measure)
+	}, func(c config) CtrlPlaneRow {
+		return runCtrlPlaneOnce(c.name, c.zones, c.dist, c.debounce, c.full, seed, warmup, measure)
 	})
-	return out
 }
 
 func runCtrlPlaneOnce(name string, zones int, dist bool, debounce time.Duration, full bool,
@@ -124,9 +115,8 @@ func runCtrlPlaneOnce(name string, zones int, dist bool, debounce time.Duration,
 	// transfers on the surviving bottleneck links, and that capacity
 	// effect confounds the propagation effect E18 isolates.
 	appCfg.BottleneckRate = appCfg.LinkRate
-	s := NewScenario(ScenarioConfig{Seed: seed, App: appCfg})
-	e := s.App
-	applyChaosDefenses(e.Mesh.ControlPlane(), 0)
+	l := newLadderRun(appCfg, defenses{}, seed, warmup, measure)
+	e := l.App
 	if dist {
 		// Tight reconnect loop: a restarted pod's sidecar is resynced
 		// within ~600ms of coming back, so the time it routes on its
@@ -139,8 +129,7 @@ func runCtrlPlaneOnce(name string, zones int, dist bool, debounce time.Duration,
 	}
 
 	suite, stormFrom, stormTo := ctrlStormSuite(e.Zones, warmup, measure)
-	eng := chaos.NewEngine(&chaos.Target{Sched: e.Sched, Cluster: e.Cluster, Mesh: e.Mesh})
-	eng.Schedule(suite)
+	l.inject(suite)
 
 	// The flash crowd: a 3x burst of latency-sensitive traffic arriving
 	// mid-storm, when part of the fleet is mid-restart. How quickly
@@ -148,7 +137,7 @@ func runCtrlPlaneOnce(name string, zones int, dist bool, debounce time.Duration,
 	// is absorbed.
 	crowdAt := stormFrom + (stormTo-stormFrom)/2
 	crowdFor := measure / 4
-	crowdRec := chaos.NewRecorder(measure / 40)
+	crowdRec := l.recorder()
 	var crowd *workload.Generator
 	e.Sched.After(crowdAt, func() {
 		crowd = workload.Start(e.Sched, e.Gateway, workload.Spec{
@@ -158,31 +147,12 @@ func runCtrlPlaneOnce(name string, zones int, dist bool, debounce time.Duration,
 		})
 	})
 
-	lsRec := chaos.NewRecorder(measure / 40)
-	liRec := chaos.NewRecorder(measure / 40)
-	r := s.RunMixed(MixedConfig{
-		RPS: 30, Seed: seed, Warmup: warmup, Measure: measure,
-		LSObserver: lsRec.Observe, LIObserver: liRec.Observe,
-	})
-
-	avail := func(from, to time.Duration) float64 {
-		var ok, fail uint64
-		for _, rec := range []*chaos.Recorder{lsRec, liRec, crowdRec} {
-			o, f := rec.Counts(from, to)
-			ok += o
-			fail += f
-		}
-		if ok+fail == 0 {
-			return 1
-		}
-		return float64(ok) / float64(ok+fail)
-	}
-
+	r := l.run()
 	row := CtrlPlaneRow{
 		Config: name, Zones: zones, Debounce: debounce, Distributed: dist,
 		LSP99:      r.LS.P99,
-		Avail:      avail(warmup, warmup+measure),
-		StormAvail: avail(stormFrom, stormTo),
+		Avail:      l.avail(warmup, warmup+measure),
+		StormAvail: l.avail(stormFrom, stormTo),
 	}
 	if crowd != nil {
 		row.CrowdP99 = crowd.Results().P99()
@@ -193,8 +163,7 @@ func runCtrlPlaneOnce(name string, zones int, dist bool, debounce time.Duration,
 		row.WireBytes = st.WireBytes
 		row.Timeouts, row.Resyncs = st.Timeouts, st.Resyncs
 		row.MaxLag = st.MaxLag
-		row.StaleP99 = e.Mesh.Metrics().
-			Histogram(ctrlplane.MetricStalenessSeconds, nil).QuantileDuration(0.99)
+		row.StaleP99 = l.staleP99()
 	}
 	return row
 }

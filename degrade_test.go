@@ -20,7 +20,7 @@ func TestDegradedFallbackPropagation(t *testing.T) {
 	s := NewScenario(ScenarioConfig{Seed: 7, App: acfg})
 	e := s.App
 	cp := e.Mesh.ControlPlane()
-	applyZoneDefenses(cp, 3)
+	zoneDefenses(3).apply(cp)
 
 	for _, rt := range e.AllRatings {
 		rt.Partition(true)
@@ -67,7 +67,7 @@ func TestDegradedHeaderAbsentOnSuccess(t *testing.T) {
 	acfg.Zones = 3
 	s := NewScenario(ScenarioConfig{Seed: 7, App: acfg})
 	e := s.App
-	applyZoneDefenses(e.Mesh.ControlPlane(), 3)
+	zoneDefenses(3).apply(e.Mesh.ControlPlane())
 
 	var gotResp *httpsim.Response
 	var gotErr error

@@ -63,24 +63,29 @@ func RunSweep(cfg SweepConfig) []SweepPoint {
 	if !cfg.Opt.Any() {
 		cfg.Opt = PaperOptimizations()
 	}
-	// Each (level, arm) pair is an independent simulation; flatten them
-	// so base and opt arms of every level run concurrently. Shared row
-	// fields are filled in before the parallel section; each worker then
-	// writes only its own arm's result slot.
+	base, opt := baseAndOpt(len(cfg.RPSLevels), cfg.Workers, cfg.Opt, func(i int, opt Optimization) MixedResult {
+		return RunMixedOnce(opt, MixedConfig{RPS: cfg.RPSLevels[i], Seed: cfg.Seed, Warmup: cfg.Warmup, Measure: cfg.Measure, Cooldown: cfg.Cooldown})
+	})
 	out := make([]SweepPoint, len(cfg.RPSLevels))
 	for i, rps := range cfg.RPSLevels {
-		out[i].RPS = rps
+		out[i] = SweepPoint{RPS: rps, Base: base[i], Opt: opt[i]}
 	}
-	runIndexedWorkers(2*len(out), cfg.Workers, func(k int) {
-		i := k / 2
-		mixed := MixedConfig{RPS: out[i].RPS, Seed: cfg.Seed, Warmup: cfg.Warmup, Measure: cfg.Measure, Cooldown: cfg.Cooldown}
+	return out
+}
+
+// baseAndOpt runs run(i, None()) and run(i, opt) for every point i < n.
+// Each (point, arm) pair is an independent simulation, so all 2n run
+// concurrently on a pool of workers (0 = MaxParallel).
+func baseAndOpt(n, workers int, opt Optimization, run func(i int, opt Optimization) MixedResult) (base, optimized []MixedResult) {
+	base, optimized = make([]MixedResult, n), make([]MixedResult, n)
+	runIndexedWorkers(2*n, workers, func(k int) {
 		if k%2 == 0 {
-			out[i].Base = RunMixedOnce(None(), mixed)
+			base[k/2] = run(k/2, None())
 		} else {
-			out[i].Opt = RunMixedOnce(cfg.Opt, mixed)
+			optimized[k/2] = run(k/2, opt)
 		}
 	})
-	return out
+	return base, optimized
 }
 
 // FormatFig4 renders the latency-sensitive series of the sweep — the
@@ -178,26 +183,11 @@ func RunSidecarOverhead(n int, seed int64) []OverheadRow {
 		n = 2000
 	}
 	measure := func(delay time.Duration) *hdr.Histogram {
-		c := app.BuildChain(app.ChainConfig{
+		return chainLatencies(app.BuildChain(app.ChainConfig{
 			Depth:       1,
 			ServiceTime: 100 * time.Microsecond,
 			Mesh:        mesh.Config{SidecarDelayMean: delay, Seed: seed},
-		})
-		h := hdr.New()
-		var next func(i int)
-		next = func(i int) {
-			if i >= n {
-				return
-			}
-			start := c.Sched.Now()
-			c.Gateway.Serve(app.NewChainRequest(), func(*httpsim.Response, error) {
-				h.RecordDuration(c.Sched.Now() - start)
-				c.Sched.After(time.Millisecond, func() { next(i + 1) })
-			})
-		}
-		next(0)
-		c.Sched.Run()
-		return h
+		}), n)
 	}
 
 	delays := []time.Duration{
@@ -205,8 +195,7 @@ func RunSidecarOverhead(n int, seed int64) []OverheadRow {
 		mesh.DefaultSidecarDelay,
 		4 * mesh.DefaultSidecarDelay,
 	}
-	hists := make([]*hdr.Histogram, len(delays))
-	runIndexed(len(delays), func(i int) { hists[i] = measure(delays[i]) })
+	hists := sweep(delays, measure)
 	base, withProxies, heavy := hists[0], hists[1], hists[2]
 
 	mk := func(name string, proxies int, h *hdr.Histogram) OverheadRow {
@@ -251,28 +240,25 @@ type AblationRow struct {
 func RunAblation(rps float64, seed int64, mixed MixedConfig) []AblationRow {
 	mixed.RPS = rps
 	mixed.Seed = seed
-	combos := []struct {
+	type combo struct {
 		name string
 		opt  Optimization
-	}{
+	}
+	return sweep([]combo{
 		{"baseline", None()},
 		{"routing only (3a)", Optimization{Routing: true}},
 		{"routing+tc (paper §4.3)", Optimization{Routing: true, TC: true}},
 		{"routing+tc+scavenger", Optimization{Routing: true, TC: true, Scavenger: true}},
 		{"all (+sdn)", AllOptimizations()},
-	}
-	out := make([]AblationRow, len(combos))
-	runIndexed(len(combos), func(i int) {
-		c := combos[i]
+	}, func(c combo) AblationRow {
 		r := RunMixedOnce(c.opt, mixed)
-		out[i] = AblationRow{
+		return AblationRow{
 			Name:  c.name,
 			LSP50: r.LS.P50, LSP99: r.LS.P99,
 			LIP99:   r.LI.P99,
 			LSCount: r.LS.Count,
 		}
 	})
-	return out
 }
 
 // FormatAblation renders the E5 table.
@@ -402,9 +388,7 @@ func RunAdaptiveLB(rps float64, seed int64) []LBRow {
 		rps = 50
 	}
 	policies := []mesh.LBPolicy{mesh.LBRoundRobin, mesh.LBRandom, mesh.LBLeastRequest, mesh.LBEWMA}
-	out := make([]LBRow, len(policies))
-	runIndexed(len(policies), func(i int) { out[i] = runLBOnce(policies[i], rps, seed) })
-	return out
+	return sweep(policies, func(p mesh.LBPolicy) LBRow { return runLBOnce(p, rps, seed) })
 }
 
 func runLBOnce(policy mesh.LBPolicy, rps float64, seed int64) LBRow {
@@ -513,9 +497,7 @@ func RunRedundant(rps float64, seed int64) []HedgeRow {
 			Count: r.Measured,
 		}
 	}
-	out := make([]HedgeRow, 2)
-	runIndexed(2, func(i int) { out[i] = run(i == 1) })
-	return out
+	return sweep([]bool{false, true}, run)
 }
 
 // FormatRedundant renders the E8 table.
@@ -546,32 +528,35 @@ func RunHopDepth(depths []int, n int, seed int64) []HopRow {
 	if n <= 0 {
 		n = 500
 	}
-	out := make([]HopRow, len(depths))
-	runIndexed(len(depths), func(k int) {
-		d := depths[k]
-		c := app.BuildChain(app.ChainConfig{Depth: d, Mesh: mesh.Config{Seed: seed}})
-		h := hdr.New()
-		var next func(i int)
-		next = func(i int) {
-			if i >= n {
-				return
-			}
-			start := c.Sched.Now()
-			c.Gateway.Serve(app.NewChainRequest(), func(*httpsim.Response, error) {
-				h.RecordDuration(c.Sched.Now() - start)
-				c.Sched.After(time.Millisecond, func() { next(i + 1) })
-			})
-		}
-		next(0)
-		c.Sched.Run()
-		out[k] = HopRow{
+	return sweep(depths, func(d int) HopRow {
+		h := chainLatencies(app.BuildChain(app.ChainConfig{Depth: d, Mesh: mesh.Config{Seed: seed}}), n)
+		return HopRow{
 			Depth:  d,
 			P50:    h.QuantileDuration(0.50),
 			P99:    h.QuantileDuration(0.99),
 			PerHop: h.QuantileDuration(0.50) / time.Duration(d),
 		}
 	})
-	return out
+}
+
+// chainLatencies sends n requests through the chain one at a time, 1 ms
+// apart, and returns their latency distribution.
+func chainLatencies(c *app.Chain, n int) *hdr.Histogram {
+	h := hdr.New()
+	var next func(i int)
+	next = func(i int) {
+		if i >= n {
+			return
+		}
+		start := c.Sched.Now()
+		c.Gateway.Serve(app.NewChainRequest(), func(*httpsim.Response, error) {
+			h.RecordDuration(c.Sched.Now() - start)
+			c.Sched.After(time.Millisecond, func() { next(i + 1) })
+		})
+	}
+	next(0)
+	c.Sched.Run()
+	return h
 }
 
 // FormatHopDepth renders the E9 table.
@@ -603,26 +588,16 @@ func RunBottleneckSweep(ratesGbps []float64, seed int64, mixed MixedConfig) []Bo
 		mixed.RPS = 40
 	}
 	mixed.Seed = seed
+	base, opt := baseAndOpt(len(ratesGbps), 0, PaperOptimizations(), func(i int, opt Optimization) MixedResult {
+		appCfg := app.DefaultELibraryConfig()
+		appCfg.BottleneckRate = int64(ratesGbps[i] * float64(simnet.Gbps))
+		return NewScenario(ScenarioConfig{Opt: opt, Seed: seed, App: appCfg}).RunMixed(mixed)
+	})
 	out := make([]BottleneckRow, len(ratesGbps))
 	for i, g := range ratesGbps {
-		out[i].RateGbps = g
+		out[i] = BottleneckRow{RateGbps: g, BaseP99: base[i].LS.P99, OptP99: opt[i].LS.P99,
+			BaseLIP99: base[i].LI.P99, OptLIP99: opt[i].LI.P99}
 	}
-	runIndexed(2*len(out), func(k int) {
-		i := k / 2
-		appCfg := app.DefaultELibraryConfig()
-		appCfg.BottleneckRate = int64(out[i].RateGbps * float64(simnet.Gbps))
-		run := func(opt Optimization) MixedResult {
-			s := NewScenario(ScenarioConfig{Opt: opt, Seed: seed, App: appCfg})
-			return s.RunMixed(mixed)
-		}
-		if k%2 == 0 {
-			base := run(None())
-			out[i].BaseP99, out[i].BaseLIP99 = base.LS.P99, base.LI.P99
-		} else {
-			opt := run(PaperOptimizations())
-			out[i].OptP99, out[i].OptLIP99 = opt.LS.P99, opt.LI.P99
-		}
-	})
 	return out
 }
 
@@ -657,27 +632,19 @@ func RunSkewSweep(liMB []float64, seed int64, mixed MixedConfig) []SkewRow {
 		mixed.RPS = 40
 	}
 	mixed.Seed = seed
-	out := make([]SkewRow, len(liMB))
+	apps := make([]app.ELibraryConfig, len(liMB))
 	for i, mb := range liMB {
-		appCfg := app.DefaultELibraryConfig()
-		appCfg.LIRatingsBytes = int(mb * float64(1<<20))
-		out[i].LIMB = mb
-		out[i].SkewFactor = float64(appCfg.LIRatingsBytes) / float64(appCfg.LSFrontendBytes+appCfg.LSReviewsBytes)
+		apps[i] = app.DefaultELibraryConfig()
+		apps[i].LIRatingsBytes = int(mb * float64(1<<20))
 	}
-	runIndexed(2*len(out), func(k int) {
-		i := k / 2
-		appCfg := app.DefaultELibraryConfig()
-		appCfg.LIRatingsBytes = int(out[i].LIMB * float64(1<<20))
-		run := func(opt Optimization) MixedResult {
-			s := NewScenario(ScenarioConfig{Opt: opt, Seed: seed, App: appCfg})
-			return s.RunMixed(mixed)
-		}
-		if k%2 == 0 {
-			out[i].BaseP99 = run(None()).LS.P99
-		} else {
-			out[i].OptP99 = run(PaperOptimizations()).LS.P99
-		}
+	base, opt := baseAndOpt(len(apps), 0, PaperOptimizations(), func(i int, opt Optimization) MixedResult {
+		return NewScenario(ScenarioConfig{Opt: opt, Seed: seed, App: apps[i]}).RunMixed(mixed)
 	})
+	out := make([]SkewRow, len(liMB))
+	for i, a := range apps {
+		out[i] = SkewRow{LIMB: liMB[i], BaseP99: base[i].LS.P99, OptP99: opt[i].LS.P99,
+			SkewFactor: float64(a.LIRatingsBytes) / float64(a.LSFrontendBytes+a.LSReviewsBytes)}
+	}
 	return out
 }
 
@@ -715,9 +682,7 @@ func RunQdiscComparison(rps float64, seed int64, mixed MixedConfig) []QdiscRow {
 	mixed.Seed = seed
 
 	variants := []string{"fifo (droptail)", "red", "codel", "nearstrict 95% (paper)"}
-	out := make([]QdiscRow, len(variants))
-	runIndexed(len(variants), func(i int) {
-		name := variants[i]
+	return sweep(variants, func(name string) QdiscRow {
 		s := NewScenario(ScenarioConfig{Opt: Optimization{Routing: true}, Seed: seed})
 		e := s.App
 		clock := e.Sched.Now
@@ -735,9 +700,8 @@ func RunQdiscComparison(rps float64, seed int64, mixed MixedConfig) []QdiscRow {
 			}
 		}
 		r := s.RunMixed(mixed)
-		out[i] = QdiscRow{Name: name, LSP50: r.LS.P50, LSP99: r.LS.P99, LIP99: r.LI.P99}
+		return QdiscRow{Name: name, LSP50: r.LS.P50, LSP99: r.LS.P99, LIP99: r.LI.P99}
 	})
-	return out
 }
 
 // FormatQdiscComparison renders the E13 table.
@@ -806,17 +770,11 @@ func RunResilience(rps float64, seed int64) []ResilienceRow {
 		}
 		mk := func(phaseName string, g *workload.Generator) ResilienceRow {
 			r := g.Results()
-			total := r.Measured + r.Errors
-			rate := 0.0
-			if total > 0 {
-				rate = float64(r.Errors) / float64(total)
-			}
-			return ResilienceRow{Config: name, Phase: phaseName, ErrorRate: rate, P50: r.P50(), P99: r.P99()}
+			return ResilienceRow{Config: name, Phase: phaseName, ErrorRate: errRate(r.Measured, r.Errors), P50: r.P50(), P99: r.P99()}
 		}
 		return []ResilienceRow{mk("before", g1), mk("during partition", g2), mk("after heal", g3)}
 	}
-	var halves [2][]ResilienceRow
-	runIndexed(2, func(i int) { halves[i] = run(i == 1) })
+	halves := sweep([]bool{false, true}, run)
 	return append(halves[0], halves[1]...)
 }
 
@@ -877,12 +835,7 @@ type OverloadRow struct {
 // gateway -> api (the bottleneck) -> backend, with a 1:3 LS:LI mix and
 // retries disabled so shed fast-fails are not re-amplified.
 func RunOverload(seed int64, warmup, measure time.Duration) []OverloadRow {
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 20 * time.Second
-	}
+	warmup, measure = windowDefaults(warmup, measure, 20*time.Second)
 	configs := []struct {
 		name                string
 		admission, deadline bool
@@ -1047,8 +1000,7 @@ type ChaosRow struct {
 // + circuit breaking, 2 = + active health checks + outlier detection,
 // 3 = + retry budgets with exponential backoff.
 func applyChaosDefenses(cp *mesh.ControlPlane, level int) {
-	services := []string{"frontend", "details", "reviews", "ratings"}
-	for _, svc := range services {
+	for _, svc := range meshServices {
 		// Per-try timeouts are tuned per service at every level (they
 		// are base config, not a defense rung): they must sit above the
 		// worst-case legitimate latency — 2 MB LI transfers queue up to
@@ -1120,67 +1072,41 @@ func chaosSuite(seed int64, warmup, measure time.Duration) (chaos.Scenario, time
 // defense ladder, plus a fault-free baseline for reference. Error
 // rates and TTR come from a chaos.Recorder on the LS stream.
 func RunChaos(seed int64, warmup, measure time.Duration) []ChaosRow {
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 20 * time.Second
-	}
-	configs := []struct {
+	warmup, measure = windowDefaults(warmup, measure, 20*time.Second)
+	type config struct {
 		name   string
 		level  int
 		faults bool
-	}{
+	}
+	return sweep([]config{
 		{"fault-free baseline", 3, false},
 		{"no defenses", 0, true},
 		{"retries + breaker", 1, true},
 		{"+ health checks + outlier detection", 2, true},
 		{"+ retry budgets + backoff", 3, true},
-	}
-	out := make([]ChaosRow, len(configs))
-	runIndexed(len(configs), func(i int) {
-		c := configs[i]
-		out[i] = runChaosOnce(c.name, c.level, c.faults, seed, warmup, measure)
+	}, func(c config) ChaosRow {
+		return runChaosOnce(c.name, c.level, c.faults, seed, warmup, measure)
 	})
-	return out
 }
 
 func runChaosOnce(name string, level int, withFaults bool, seed int64, warmup, measure time.Duration) ChaosRow {
-	s := NewScenario(ScenarioConfig{Seed: seed})
-	e := s.App
-	applyChaosDefenses(e.Mesh.ControlPlane(), level)
-
+	l := newLadderRun(app.DefaultELibraryConfig(), defenses{level: level}, seed, warmup, measure)
 	suite, crashAt := chaosSuite(seed, warmup, measure)
 	if withFaults {
-		eng := chaos.NewEngine(&chaos.Target{Sched: e.Sched, Cluster: e.Cluster, Mesh: e.Mesh})
-		eng.Schedule(suite)
+		l.inject(suite)
 	}
+	r := l.run()
 
-	// Bucket width is sized so each bucket holds ~10+ LS samples at
-	// 30 RPS; much finer and empty buckets read as spurious recovery.
-	rec := chaos.NewRecorder(measure / 40)
-	r := s.RunMixed(MixedConfig{
-		RPS: 30, Seed: seed, Warmup: warmup, Measure: measure,
-		LSObserver: rec.Observe,
-	})
-
-	errRate := func(ws WorkloadStats) float64 {
-		total := ws.Count + ws.Errors
-		if total == 0 {
-			return 0
-		}
-		return float64(ws.Errors) / float64(total)
-	}
-	ttr, recovered := rec.RecoveryTime(crashAt, 3)
+	ttr, recovered := l.recs[0].RecoveryTime(crashAt, 3)
 	return ChaosRow{
 		Config:         name,
 		LSP50:          r.LS.P50,
 		LSP99:          r.LS.P99,
-		LSErrRate:      errRate(r.LS),
+		LSErrRate:      errRate(r.LS.Count, r.LS.Errors),
 		LIP99:          r.LI.P99,
-		LIErrRate:      errRate(r.LI),
-		Retries:        e.Mesh.Metrics().CounterTotal("mesh_retries_total"),
-		BudgetDenied:   e.Mesh.Metrics().CounterTotal("mesh_retry_budget_exhausted_total"),
+		LIErrRate:      errRate(r.LI.Count, r.LI.Errors),
+		Retries:        l.counter("mesh_retries_total"),
+		BudgetDenied:   l.counter("mesh_retry_budget_exhausted_total"),
 		CrashTTR:       ttr,
 		CrashRecovered: recovered,
 		Faults:         withFaults,
@@ -1205,6 +1131,14 @@ func FormatChaos(rows []ChaosRow) string {
 			fmt.Sprint(r.Retries), fmt.Sprint(r.BudgetDenied), ttr)
 	}
 	return "E15 — chaos suite (crash, error-rate, slow-pod, loss burst) vs self-healing defenses (30 RPS mixed)\n" + t.String()
+}
+
+// errRate is errors/(ok+errors), 0 when nothing completed.
+func errRate(ok, errors uint64) float64 {
+	if ok+errors == 0 {
+		return 0
+	}
+	return float64(errors) / float64(ok+errors)
 }
 
 // ---------- formatting helpers ----------

@@ -7,7 +7,6 @@ import (
 
 	"meshlayer/internal/app"
 	"meshlayer/internal/chaos"
-	"meshlayer/internal/ctrlplane"
 	"meshlayer/internal/mesh"
 )
 
@@ -49,34 +48,23 @@ type FederationRow struct {
 	Faults   bool
 }
 
-// applyFederationDefenses configures one arm of the E19 sweep. Every
-// arm gets the full E15 self-healing stack (retries with budgets,
-// breakers, health checks, outlier detection) so the axis under test is
-// failover reach, not generic resilience.
-func applyFederationDefenses(cp *mesh.ControlPlane, ladder string, fallback bool) {
-	applyChaosDefenses(cp, 3)
-	services := []string{"frontend", "details", "reviews", "ratings"}
+// federationDefenses configures one arm of the E19 sweep. Every arm
+// gets the full E15 self-healing stack (retries with budgets, breakers,
+// health checks, outlier detection) so the axis under test is failover
+// reach, not generic resilience.
+func federationDefenses(ladder string, fallback bool) defenses {
+	d := defenses{level: 3, fallback: fallback}
 	switch ladder {
 	case "region":
-		for _, svc := range services {
-			cp.SetLocalityPolicy(svc, mesh.LocalityPolicy{Mode: mesh.LocalityRegionOnly})
-		}
+		d.locality = mesh.LocalityPolicy{Mode: mesh.LocalityRegionOnly}
 	case "full":
-		for _, svc := range services {
-			cp.SetLocalityPolicy(svc, mesh.LocalityPolicy{
-				Mode:                   mesh.LocalityLadder,
-				OverprovisioningFactor: 1.4,
-				PanicThreshold:         0.5,
-			})
+		d.locality = mesh.LocalityPolicy{
+			Mode:                   mesh.LocalityLadder,
+			OverprovisioningFactor: 1.4,
+			PanicThreshold:         0.5,
 		}
 	}
-	if fallback {
-		// As in E17: reviews serves its page without the ratings column
-		// when ratings is unreachable.
-		cp.SetFallbackPolicy("ratings", mesh.FallbackPolicy{
-			Enabled: true, BodyBytes: 256, After: 400 * time.Millisecond,
-		})
-	}
+	return d
 }
 
 // federationSuite scripts the WAN-scale sequence E19 replays against
@@ -122,18 +110,14 @@ func federationSuite(seed int64, warmup, measure time.Duration, zones []string) 
 // federation chaos suite, sweeping failover reach {off, region-only,
 // full ladder} x graceful degradation, plus a fault-free baseline.
 func RunFederation(seed int64, warmup, measure time.Duration) []FederationRow {
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 20 * time.Second
-	}
-	configs := []struct {
+	warmup, measure = windowDefaults(warmup, measure, 20*time.Second)
+	type config struct {
 		name     string
 		ladder   string
 		fallback bool
 		faults   bool
-	}{
+	}
+	return sweep([]config{
 		{"fault-free baseline (full ladder)", "full", true, false},
 		{"flat mesh (global view, zone-blind)", "off", false, true},
 		{"flat mesh + degradation", "off", true, true},
@@ -141,23 +125,16 @@ func RunFederation(seed int64, warmup, measure time.Duration) []FederationRow {
 		{"region-only + degradation", "region", true, true},
 		{"failover ladder", "full", false, true},
 		{"failover ladder + degradation", "full", true, true},
-	}
-	out := make([]FederationRow, len(configs))
-	runIndexed(len(configs), func(i int) {
-		c := configs[i]
-		out[i] = runFederationOnce(c.name, c.ladder, c.fallback, c.faults, seed, warmup, measure)
+	}, func(c config) FederationRow {
+		return runFederationOnce(c.name, c.ladder, c.fallback, c.faults, seed, warmup, measure)
 	})
-	return out
 }
 
 func runFederationOnce(name, ladder string, fallback, withFaults bool,
 	seed int64, warmup, measure time.Duration) FederationRow {
 	appCfg := app.DefaultELibraryConfig()
 	appCfg.Regions = FederationRegions
-	s := NewScenario(ScenarioConfig{Seed: seed, App: appCfg})
-	e := s.App
-	cp := e.Mesh.ControlPlane()
-	applyFederationDefenses(cp, ladder, fallback)
+	l := newLadderRun(appCfg, federationDefenses(ladder, fallback), seed, warmup, measure)
 
 	// The flat-mesh arm is the pre-federation deployment: one shared
 	// control plane, instant global discovery, direct cross-region
@@ -166,7 +143,7 @@ func runFederationOnce(name, ladder string, fallback, withFaults bool,
 	// routing only once its sidecar has resynced.
 	federated := ladder != "off"
 	if federated {
-		cp.EnableDistribution(mesh.DistributionConfig{
+		l.App.Mesh.ControlPlane().EnableDistribution(mesh.DistributionConfig{
 			PerRegion:     true,
 			Debounce:      100 * time.Millisecond,
 			PushTimeout:   500 * time.Millisecond,
@@ -175,50 +152,26 @@ func runFederationOnce(name, ladder string, fallback, withFaults bool,
 		})
 	}
 
-	suite, win := federationSuite(seed, warmup, measure, e.Zones)
+	suite, win := federationSuite(seed, warmup, measure, l.App.Zones)
 	if withFaults {
-		eng := chaos.NewEngine(&chaos.Target{Sched: e.Sched, Cluster: e.Cluster, Mesh: e.Mesh})
-		eng.Schedule(suite)
+		l.inject(suite)
 	}
-
-	lsRec := chaos.NewRecorder(measure / 40)
-	liRec := chaos.NewRecorder(measure / 40)
-	r := s.RunMixed(MixedConfig{
-		RPS: 30, Seed: seed, Warmup: warmup, Measure: measure,
-		LSObserver: lsRec.Observe, LIObserver: liRec.Observe,
-	})
-
-	avail := func(from, to time.Duration) float64 {
-		ok1, fail1 := lsRec.Counts(from, to)
-		ok2, fail2 := liRec.Counts(from, to)
-		total := ok1 + ok2 + fail1 + fail2
-		if total == 0 {
-			return 1
-		}
-		return float64(ok1+ok2) / float64(total)
-	}
-	served := r.LS.Count + r.LI.Count
-	degraded := e.Mesh.Metrics().CounterTotal("gateway_degraded_total")
-	degFrac := 0.0
-	if served > 0 {
-		degFrac = float64(degraded) / float64(served)
-	}
+	r := l.run()
 	row := FederationRow{
 		Config: name, Ladder: ladder, Fallback: fallback, Federated: federated,
 		LSP50:        r.LS.P50,
 		LSP99:        r.LS.P99,
-		Avail:        avail(warmup, warmup+measure),
-		EvacAvail:    avail(win[0], win[1]),
-		PartAvail:    avail(win[2], win[3]),
-		DegradedFrac: degFrac,
-		CrossRegion:  e.Mesh.Metrics().CounterTotal("mesh_cross_region_total"),
-		EastWest:     e.Mesh.Metrics().CounterTotal("gateway_eastwest_ingress_total"),
-		Fallbacks:    e.Mesh.Metrics().CounterTotal("mesh_fallback_served_total"),
+		Avail:        l.avail(warmup, warmup+measure),
+		EvacAvail:    l.avail(win[0], win[1]),
+		PartAvail:    l.avail(win[2], win[3]),
+		DegradedFrac: l.degradedFrac(r),
+		CrossRegion:  l.counter("mesh_cross_region_total"),
+		EastWest:     l.counter("gateway_eastwest_ingress_total"),
+		Fallbacks:    l.counter("mesh_fallback_served_total"),
 		Faults:       withFaults,
 	}
 	if federated {
-		row.StaleP99 = e.Mesh.Metrics().
-			Histogram(ctrlplane.MetricStalenessSeconds, nil).QuantileDuration(0.99)
+		row.StaleP99 = l.staleP99()
 	}
 	return row
 }

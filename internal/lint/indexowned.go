@@ -6,8 +6,10 @@ import (
 )
 
 // Indexowned enforces the parallel-sweep ownership rule from PR 3:
-// a closure handed to runIndexed runs concurrently with its siblings,
-// so it must write only state owned by its index parameter — slots
+// a closure handed to runIndexed (or runIndexedWorkers, or sweep,
+// whose parameter is the configuration rather than an index) runs
+// concurrently with its siblings, so it must write only state owned
+// by its parameter — slots
 // like out[i] or out[2*i+1] — never shared scalars, maps keyed by
 // non-index values, or appends to shared slices. The race detector
 // catches the timing-dependent subset of violations at runtime; this
@@ -21,7 +23,7 @@ import (
 // private state and free to mutate.
 var Indexowned = &Analyzer{
 	Name: "indexowned",
-	Doc:  "inside runIndexed workers, flag writes to shared state not indexed by the worker's index parameter",
+	Doc:  "inside runIndexed/runIndexedWorkers/sweep workers, flag writes to shared state not indexed by the worker's parameter",
 	Run:  runIndexowned,
 }
 
@@ -33,20 +35,25 @@ func runIndexowned(pass *Pass) {
 				return true
 			}
 			name, ok := calleeName(call.Fun)
-			if !ok || name != "runIndexed" || len(call.Args) < 2 {
+			arg, pool := workerArg[name]
+			if !ok || !pool || len(call.Args) <= arg {
 				return true
 			}
-			lit, ok := call.Args[1].(*ast.FuncLit)
+			lit, ok := call.Args[arg].(*ast.FuncLit)
 			if !ok {
 				return true
 			}
-			checkWorkerBody(pass, lit)
+			checkWorkerBody(pass, name, lit)
 			return true
 		})
 	}
 }
 
-func checkWorkerBody(pass *Pass, lit *ast.FuncLit) {
+// workerArg maps each parallel-pool function to the argument position
+// of its worker closure.
+var workerArg = map[string]int{"runIndexed": 1, "runIndexedWorkers": 2, "sweep": 1}
+
+func checkWorkerBody(pass *Pass, pool string, lit *ast.FuncLit) {
 	owned := map[types.Object]bool{}
 	for _, field := range lit.Type.Params.List {
 		for _, id := range field.Names {
@@ -133,8 +140,8 @@ func checkWorkerBody(pass *Pass, lit *ast.FuncLit) {
 					return
 				}
 				pass.Reportf(pos.Pos(),
-					"runIndexed worker writes shared %s without indexing by its worker index; each worker may only write slots its index owns (PR 3 determinism invariant)",
-					id.Name)
+					"%s worker writes shared %s without indexing by its worker index; each worker may only write slots its index owns (parallel == sequential determinism invariant)",
+					pool, id.Name)
 				return
 			}
 		}
@@ -153,8 +160,8 @@ func checkWorkerBody(pass *Pass, lit *ast.FuncLit) {
 				obj := pass.Info.ObjectOf(id)
 				if obj != nil && !declaredInside(obj) {
 					pass.Reportf(n.Pos(),
-						"runIndexed worker sends on shared channel %s; results must land at the worker's own index, not flow through shared channels",
-						id.Name)
+						"%s worker sends on shared channel %s; results must land at the worker's own index, not flow through shared channels",
+						pool, id.Name)
 				}
 			}
 		}

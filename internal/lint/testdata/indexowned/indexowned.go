@@ -53,3 +53,30 @@ func allowed(out []result) {
 	})
 	_ = total
 }
+
+// runIndexedWorkers and sweep are the pool's other entry points; their
+// worker closures follow the same rule.
+func runIndexedWorkers(n, workers int, fn func(i int)) { runIndexed(n, fn) }
+
+func sweep[C, R any](cfgs []C, run func(C) R) []R {
+	out := make([]R, len(cfgs))
+	runIndexed(len(cfgs), func(i int) { out[i] = run(cfgs[i]) })
+	return out
+}
+
+// sweepWrites returns its results instead of writing them; a sweep
+// worker writing captured state is the same race.
+func sweepWrites(cfgs []int, out []result) []result {
+	total := 0
+	runIndexedWorkers(len(out), 2, func(k int) {
+		out[k].count = k
+		total += k // want "runIndexedWorkers worker writes shared total without indexing by its worker index"
+	})
+	return sweep(cfgs, func(c int) result {
+		r := result{count: c} // closure-local state is private
+		r.lat = float64(total)
+		out[c] = r
+		total++ // want "sweep worker writes shared total without indexing by its worker index"
+		return r
+	})
+}

@@ -98,7 +98,6 @@ type NIC struct {
 
 	wakeTimer Timer
 	impair    *impairedDir
-	tap       Tap
 
 	// txPacket is the packet currently being serialized (one at a time
 	// per direction), and txDone the reusable serialization-finished
@@ -204,9 +203,6 @@ func (n *NIC) transmitNext() {
 	tx := n.serializeDelay(p.Size)
 	n.txPackets++
 	n.txBytes += uint64(p.Size)
-	if n.tap != nil {
-		n.tap(p, sched.Now())
-	}
 	n.txPacket = p //meshvet:allow poolescape NIC owns the packet while it serializes; handed off or freed in onTxDone
 	if n.txDone == nil {
 		n.txDone = n.onTxDone

@@ -24,20 +24,6 @@ func TestPropertyQdiscConservation(t *testing.T) {
 		"tbf": func(s *simnet.Scheduler) simnet.Qdisc {
 			return NewTBF(simnet.Gbps, 100*simnet.MTU, nil, s.Now)
 		},
-		"htb": func(s *simnet.Scheduler) simnet.Qdisc {
-			return NewHTB(Classifier{
-				Filters: []Filter{{Match: MatchMark(simnet.MarkHigh), Class: 0}},
-				Default: 1,
-			}, s.Now,
-				HTBClass{Rate: simnet.Gbps, Ceil: simnet.Gbps},
-				HTBClass{Rate: simnet.Gbps, Ceil: simnet.Gbps})
-		},
-		"drr": func(s *simnet.Scheduler) simnet.Qdisc {
-			return NewDRR(Classifier{
-				Filters: []Filter{{Match: MatchMark(simnet.MarkHigh), Class: 0}},
-				Default: 1,
-			}, 2*simnet.MTU, simnet.MTU)
-		},
 	}
 	for name, mk := range build {
 		name, mk := name, mk

@@ -1,6 +1,6 @@
 // Package tc implements Linux-tc-style traffic control for simulated
-// NICs: classful queueing disciplines (PRIO, HTB, DRR), a token-bucket
-// shaper (TBF), and packet classifiers.
+// NICs: a classful PRIO qdisc, a token-bucket shaper (TBF), the RED and
+// CoDel AQMs, and packet classifiers.
 //
 // The cross-layer prioritization case study (§4.3 of the paper) installs
 // "nearly-strict prioritization (up to 95% of bandwidth)" on the

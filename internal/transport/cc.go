@@ -217,13 +217,6 @@ func NewLEDBAT() *LEDBAT {
 	return &LEDBAT{cwnd: initialWindow, target: DefaultLEDBATTarget, gain: 1}
 }
 
-// SetTarget overrides the queueing-delay target.
-func (l *LEDBAT) SetTarget(d time.Duration) {
-	if d > 0 {
-		l.target = d
-	}
-}
-
 // Name implements Controller.
 func (l *LEDBAT) Name() string { return "ledbat" }
 

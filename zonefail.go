@@ -6,7 +6,6 @@ import (
 
 	"meshlayer/internal/app"
 	"meshlayer/internal/chaos"
-	"meshlayer/internal/mesh"
 )
 
 // ---------- E17: zone-aware failover & graceful degradation ----------
@@ -34,40 +33,6 @@ type ZoneFailRow struct {
 	Faults       bool
 }
 
-// applyZoneDefenses configures one rung of the E17 ladder:
-// 0 = zone-blind, no defenses (single attempts, breaker off);
-// 1 = zone-aware LB (strict locality), still no defenses;
-// 2 = locality failover + the full E15 self-healing stack (retries,
-// breakers, health checks, outlier detection, budgets + backoff);
-// 3 = rung 2 + graceful degradation on the reviews -> ratings edge.
-func applyZoneDefenses(cp *mesh.ControlPlane, rung int) {
-	services := []string{"frontend", "details", "reviews", "ratings"}
-	switch {
-	case rung <= 0:
-		applyChaosDefenses(cp, 0)
-	case rung == 1:
-		applyChaosDefenses(cp, 0)
-		for _, svc := range services {
-			cp.SetLocalityPolicy(svc, mesh.LocalityPolicy{Mode: mesh.LocalityStrict})
-		}
-	default:
-		applyChaosDefenses(cp, 3)
-		for _, svc := range services {
-			cp.SetLocalityPolicy(svc, mesh.LocalityPolicy{Mode: mesh.LocalityFailover})
-		}
-		if rung >= 3 {
-			// Reviews serves its page without the ratings column when
-			// ratings is unreachable: a small degraded body instead of a
-			// failed call tree. The 400 ms deadline sits above the ~330 ms
-			// worst-case legitimate LI queueing (see applyChaosDefenses)
-			// and below the callers' 1 s per-try timeouts.
-			cp.SetFallbackPolicy("ratings", mesh.FallbackPolicy{
-				Enabled: true, BodyBytes: 256, After: 400 * time.Millisecond,
-			})
-		}
-	}
-}
-
 // zoneFailSuite is the scripted correlated-failure sequence E17 replays
 // against every rung: the gateway's own zone goes dark for half the
 // window (the 10 s outage at the default 20 s measure), a remote zone
@@ -75,7 +40,7 @@ func applyZoneDefenses(cp *mesh.ControlPlane, rung int) {
 // finally every ratings replica crashes at once — the dependency-wide
 // failure only graceful degradation survives. Returns the scenario and
 // the outage window [start, end) for availability scoring.
-func zoneFailSuite(seed int64, warmup, measure time.Duration) (chaos.Scenario, time.Duration, time.Duration) {
+func zoneFailSuite(warmup, measure time.Duration) (chaos.Scenario, time.Duration, time.Duration) {
 	w, m := warmup, measure
 	outageAt, outageFor := w+m/10, m/2
 	var ratingsCrash []chaos.Event
@@ -85,7 +50,6 @@ func zoneFailSuite(seed int64, warmup, measure time.Duration) (chaos.Scenario, t
 			Fault: chaos.PodCrash{Pod: "ratings-" + string(rune('a'+i))},
 		})
 	}
-	_ = seed
 	return chaos.Scenario{
 		Name: "e17-suite",
 		Events: append([]chaos.Event{
@@ -101,79 +65,43 @@ func zoneFailSuite(seed int64, warmup, measure time.Duration) (chaos.Scenario, t
 // RunZoneFail measures the three-zone e-library under the correlated
 // failure suite across the defense ladder, plus a fault-free baseline.
 func RunZoneFail(seed int64, warmup, measure time.Duration) []ZoneFailRow {
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 20 * time.Second
-	}
-	configs := []struct {
+	warmup, measure = windowDefaults(warmup, measure, 20*time.Second)
+	type config struct {
 		name   string
 		rung   int
 		faults bool
-	}{
+	}
+	return sweep([]config{
 		{"fault-free baseline", 3, false},
 		{"no defenses (zone-blind)", 0, true},
 		{"zone-aware LB (strict locality)", 1, true},
 		{"+ locality failover + self-healing", 2, true},
 		{"+ graceful degradation", 3, true},
-	}
-	out := make([]ZoneFailRow, len(configs))
-	runIndexed(len(configs), func(i int) {
-		c := configs[i]
-		out[i] = runZoneFailOnce(c.name, c.rung, c.faults, seed, warmup, measure)
+	}, func(c config) ZoneFailRow {
+		return runZoneFailOnce(c.name, c.rung, c.faults, seed, warmup, measure)
 	})
-	return out
 }
 
 func runZoneFailOnce(name string, rung int, withFaults bool, seed int64, warmup, measure time.Duration) ZoneFailRow {
 	appCfg := app.DefaultELibraryConfig()
 	appCfg.Zones = ZoneFailZones
-	s := NewScenario(ScenarioConfig{Seed: seed, App: appCfg})
-	e := s.App
-	applyZoneDefenses(e.Mesh.ControlPlane(), rung)
-
-	suite, outageFrom, outageTo := zoneFailSuite(seed, warmup, measure)
+	l := newLadderRun(appCfg, zoneDefenses(rung), seed, warmup, measure)
+	suite, outageFrom, outageTo := zoneFailSuite(warmup, measure)
 	if withFaults {
-		eng := chaos.NewEngine(&chaos.Target{Sched: e.Sched, Cluster: e.Cluster, Mesh: e.Mesh})
-		eng.Schedule(suite)
+		l.inject(suite)
 	}
-
-	// One recorder per workload class; availability weights both classes
-	// by their actual completions.
-	lsRec := chaos.NewRecorder(measure / 40)
-	liRec := chaos.NewRecorder(measure / 40)
-	r := s.RunMixed(MixedConfig{
-		RPS: 30, Seed: seed, Warmup: warmup, Measure: measure,
-		LSObserver: lsRec.Observe, LIObserver: liRec.Observe,
-	})
-
-	avail := func(from, to time.Duration) float64 {
-		ok1, fail1 := lsRec.Counts(from, to)
-		ok2, fail2 := liRec.Counts(from, to)
-		total := ok1 + ok2 + fail1 + fail2
-		if total == 0 {
-			return 1
-		}
-		return float64(ok1+ok2) / float64(total)
-	}
-	served := r.LS.Count + r.LI.Count
-	degraded := e.Mesh.Metrics().CounterTotal("gateway_degraded_total")
-	degFrac := 0.0
-	if served > 0 {
-		degFrac = float64(degraded) / float64(served)
-	}
+	r := l.run()
 	return ZoneFailRow{
 		Config:       name,
 		LSP50:        r.LS.P50,
 		LSP99:        r.LS.P99,
 		LIP99:        r.LI.P99,
-		Avail:        avail(warmup, warmup+measure),
-		OutageAvail:  avail(outageFrom, outageTo),
-		DegradedFrac: degFrac,
-		Retries:      e.Mesh.Metrics().CounterTotal("mesh_retries_total"),
-		CrossZone:    e.Mesh.Metrics().CounterTotal("mesh_lb_cross_zone_total"),
-		Fallbacks:    e.Mesh.Metrics().CounterTotal("mesh_fallback_served_total"),
+		Avail:        l.avail(warmup, warmup+measure),
+		OutageAvail:  l.avail(outageFrom, outageTo),
+		DegradedFrac: l.degradedFrac(r),
+		Retries:      l.counter("mesh_retries_total"),
+		CrossZone:    l.counter("mesh_lb_cross_zone_total"),
+		Fallbacks:    l.counter("mesh_fallback_served_total"),
 		Faults:       withFaults,
 	}
 }
